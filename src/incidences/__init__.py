@@ -4,10 +4,10 @@ from .geometry import (CoincidentPointsError, IdenticalLinesError, Line, Point,
                        Rational, as_rational, collinear, concurrent, incident,
                        intersection, line_through, strictly_between)
 from .arrangement import (Arrangement, BoundRow, FewerThanTwoPointsError,
-                          IncidenceStats, VerticalLinePresentError,
-                          build_incidences, dualize, generic_shear_value,
-                          grid_construction, incidence_stats, measured_density,
-                          rich_lines, shear, spanned_lines, st_bound_report)
+                          IncidenceStats, VerticalLinePresentError, dualize,
+                          generic_shear_value, grid_construction, incidence_stats,
+                          measured_density, rich_lines, shear, spanned_lines,
+                          st_bound_report)
 from .cliques import (CompleteTuple, DecompositionStats, IntersectionGraph,
                       MonitorResult, build_graph, count_triangles,
                       de_caen_szekely_monitor, degenerate_filter,
@@ -21,7 +21,7 @@ from .pipeline import (CellAttempt, CertificateError, CompleteTupleCertificate,
                        InequalityAudit, NotFoundReport, PipelineConfig,
                        RichCellReport, SegmentLine, break_into_segments,
                        find_complete_tuple, inequality_audit, locality_counts,
-                       revalidate_certificate, select_rich_cell)
+                       rank_cells, revalidate_certificate)
 
 __version__ = "0.1.0"
 

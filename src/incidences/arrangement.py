@@ -88,11 +88,6 @@ class Arrangement:
         return self._lines_through_point[point_index]
 
 
-def build_incidences(arr: Arrangement) -> list[tuple[int, int]]:
-    """The exact incidence pairs of the arrangement, deterministic order."""
-    return list(arr.incidences)
-
-
 def grid_construction(n: int) -> Arrangement:
     """The standard extremal family saturating the rich-line bound.
 
@@ -134,8 +129,7 @@ class IncidenceStats:
 
     ``st_ratio_cubed`` is incidences^3 / min(points, lines)^4, the cube of the
     saturation ratio incidences / min^(4/3); the cube is stored because the
-    ratio itself is irrational in general.  ``st_ratio`` is a float view for
-    display only.
+    ratio itself is irrational in general.
     """
 
     n_points: int
@@ -143,7 +137,6 @@ class IncidenceStats:
     n_incidences: int
     richness_histogram: dict[int, int]
     st_ratio_cubed: Fraction
-    st_ratio: float
 
     def __post_init__(self):
         total = sum(m * cnt for m, cnt in self.richness_histogram.items())
@@ -157,14 +150,9 @@ def incidence_stats(arr: Arrangement) -> IncidenceStats:
         if m > 0:
             hist[m] = hist.get(m, 0) + 1
     base = min(arr.n_points, arr.n_lines)
-    if base > 0:
-        cubed = Fraction(arr.n_incidences**3, base**4)
-        ratio = float(cubed) ** (1.0 / 3.0)
-    else:
-        cubed = Fraction(0)
-        ratio = 0.0
+    cubed = Fraction(arr.n_incidences**3, base**4) if base > 0 else Fraction(0)
     return IncidenceStats(arr.n_points, arr.n_lines, arr.n_incidences,
-                          dict(sorted(hist.items())), cubed, ratio)
+                          dict(sorted(hist.items())), cubed)
 
 
 def measured_density(arr: Arrangement, scale: int = RATIONAL_SCALE) -> Fraction:

@@ -41,7 +41,6 @@ class CompleteTuple:
 
     line_indices: tuple[int, ...]
     witness_points: Mapping[tuple[int, int], int]
-    general_position_certificate: bool
 
 
 def point_multiplicities(arr: Arrangement) -> dict[int, int]:
@@ -174,7 +173,7 @@ def enumerate_complete_tuples(g: IntersectionGraph, arr: Arrangement, k: int,
             for b in range(a + 1, k):
                 pair = (lines_idx[a], lines_idx[b])
                 witnesses[pair] = g.edges[pair]
-        results.append(CompleteTuple(lines_idx, witnesses, True))
+        results.append(CompleteTuple(lines_idx, witnesses))
         if max_results is not None and len(results) >= max_results:
             break
     return results

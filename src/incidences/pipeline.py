@@ -25,11 +25,11 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Iterator, Mapping
 
-from .arrangement import Arrangement, dualize, generic_shear_value
+from .arrangement import Arrangement, dualize, generic_shear_value, shear
 from .cliques import IntersectionGraph, build_graph, enumerate_complete_tuples, multiplicity_filter
-from .geometry import Line, Point, as_rational, collinear, incident, strictly_between
+from .geometry import Point, as_rational, collinear, incident, strictly_between
 from .partition import PartitionCell, PartitionResult, partition
 from .roots import ceil_scaled_pow23, pow43_bounds, sqrt_bounds
 
@@ -115,7 +115,6 @@ class CompleteTupleCertificate:
     k: int
     point_indices: tuple[int, ...]
     connecting_lines: Mapping[tuple[int, int], int]
-    general_position: bool
     locality: Mapping[tuple[int, int], int]
     cell_index: int
     r: int
@@ -158,36 +157,26 @@ def _cell_line_counts(arr: Arrangement, pr: PartitionResult) -> list[dict[int, i
     return counts
 
 
-def _floor_sums(counts: list[dict[int, int]], k: int,
-                eligible: set[int] | None) -> list[int]:
-    sums = []
-    for bucket in counts:
-        total = 0
-        for li, cnt in bucket.items():
-            if eligible is None or li in eligible:
-                total += cnt // k
-        sums.append(total)
-    return sums
+def rank_cells(arr: Arrangement, pr: PartitionResult, k: int,
+               eligible_lines: set[int] | None = None) -> list[RichCellReport]:
+    """Every cell by decreasing per-line floor-sum, ties to the lowest index.
 
-
-def select_rich_cell(arr: Arrangement, pr: PartitionResult, k: int,
-                     eligible_lines: set[int] | None = None) -> RichCellReport:
-    """The cell maximizing the per-line floor-sum, ties to the lowest index.
-
-    The selected cell's floor-sum is at least the average over all cells;
-    this pigeonhole fact is asserted exactly.
+    A cell's floor-sum is  sum_lines floor(|cell points on line| / k)  over
+    the eligible lines (all lines when ``eligible_lines`` is None).  The top
+    cell's floor-sum is at least the average over all cells; this pigeonhole
+    fact is asserted exactly.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    counts = _cell_line_counts(arr, pr)
-    sums = _floor_sums(counts, k, eligible_lines)
-    if not sums:
-        return RichCellReport(0, 0, {})
-    best = max(range(len(sums)), key=lambda ci: (sums[ci], -ci))
-    assert sums[best] * len(sums) >= sum(sums), "pigeonhole violated"
-    per_line = {li: cnt for li, cnt in sorted(counts[best].items())
-                if (eligible_lines is None or li in eligible_lines) and cnt > 0}
-    return RichCellReport(best, sums[best], per_line)
+    reports = []
+    for ci, bucket in enumerate(_cell_line_counts(arr, pr)):
+        per_line = {li: cnt for li, cnt in sorted(bucket.items())
+                    if eligible_lines is None or li in eligible_lines}
+        reports.append(RichCellReport(ci, sum(cnt // k for cnt in per_line.values()), per_line))
+    reports.sort(key=lambda rep: -rep.floor_sum)
+    total = sum(rep.floor_sum for rep in reports)
+    assert not reports or reports[0].floor_sum * len(reports) >= total, "pigeonhole violated"
+    return reports
 
 
 def _cell_points_by_line(arr: Arrangement, cell: PartitionCell) -> dict[int, list[int]]:
@@ -214,14 +203,15 @@ def break_into_segments(arr: Arrangement, cell: PartitionCell, k: int) -> list[S
     """
     if k < 3:
         raise ValueError("k must be >= 3")
-    segments: list[SegmentLine] = []
-    for li, members in _cell_points_by_line(arr, cell).items():
-        s = len(members) // k
-        for g in range(s):
-            group = tuple(members[g * k:(g + 1) * k])
-            endpoints = (arr.points[group[0]], arr.points[group[-1]])
-            segments.append(SegmentLine(li, group, endpoints))
-    return segments
+    return [SegmentLine(li, run, (arr.points[run[0]], arr.points[run[-1]]))
+            for li, run in _runs(_cell_points_by_line(arr, cell), k)]
+
+
+def _runs(by_line: dict[int, list[int]], k: int) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """Yield (line, run) for each run of k consecutive cell points along a line."""
+    for li, members in by_line.items():
+        for g in range(len(members) // k):
+            yield li, tuple(members[g * k:(g + 1) * k])
 
 
 def locality_counts(arr: Arrangement, points: list[Point]) -> dict[tuple[int, int], int]:
@@ -287,40 +277,31 @@ def _attempt_cell(arr: Arrangement, cell: PartitionCell, cell_index: int,
     # Segment bookkeeping: on lines holding >= k cell points, only pairs
     # inside one run of k consecutive points may be used, which is what keeps
     # the final tuple local.  Lines with 2..k-1 cell points stay usable whole.
-    group_of: dict[int, dict[int, int]] = {}
+    run_of: dict[int, dict[int, int]] = {}  # line -> cell point -> segment number
     segment_count = 0
-    for li, members in by_line.items():
-        if len(members) >= cfg.k:
-            s = len(members) // cfg.k
-            groups: dict[int, int] = {}
-            for g in range(s):
-                for pi in members[g * cfg.k:(g + 1) * cfg.k]:
-                    groups[pi] = g
-            group_of[li] = groups
-            segment_count += s
+    for li, run in _runs(by_line, cfg.k):
+        run_of.setdefault(li, {}).update(dict.fromkeys(run, segment_count))
+        segment_count += 1
     sub_line_idx = sorted(by_line)
     miss = CellAttempt(cell_index, floor_sum, len(sub_line_idx), segment_count, 0, False)
     if not sub_line_idx:
         return None, miss
     sub_point_idx = sorted(cell.point_indices)
-    sub_lines = [arr.lines[li] for li in sub_line_idx]
-    sub_points = [arr.points[pi] for pi in sub_point_idx]
-    s_shear = generic_shear_value(sub_lines)
+    sub = Arrangement([arr.points[pi] for pi in sub_point_idx],
+                      [arr.lines[li] for li in sub_line_idx])
+    s_shear = generic_shear_value(sub.lines)
     if s_shear:
-        sub_points = [Point(p.x + s_shear * p.y, p.y) for p in sub_points]
-        sub_lines = [Line.from_coefficients(l.a, l.b - l.a * s_shear, l.c) for l in sub_lines]
-    dual = dualize(Arrangement(sub_points, sub_lines))
+        sub = shear(sub, s_shear)
+    dual = dualize(sub)
     kept = multiplicity_filter(dual, cfg.multiplicity_threshold)
     g = build_graph(dual, kept)
 
     edges: dict[tuple[int, int], int] = {}
     for (u, v), w in g.edges.items():
-        li = sub_line_idx[w]
-        groups = group_of.get(li)
-        if groups is not None:
-            gu = groups.get(sub_point_idx[u])
-            gv = groups.get(sub_point_idx[v])
-            if gu is None or gu != gv:
+        runs = run_of.get(sub_line_idx[w])
+        if runs is not None:
+            ru = runs.get(sub_point_idx[u])
+            if ru is None or ru != runs.get(sub_point_idx[v]):
                 continue
         edges[(u, v)] = w
     g_local = IntersectionGraph(dual.n_lines, edges, g.point_multiplicity, g.kept_points)
@@ -340,8 +321,7 @@ def _attempt_cell(arr: Arrangement, cell: PartitionCell, cell_index: int,
     by_position = locality_counts(arr, [arr.points[i] for i in point_indices])
     locality = {(point_indices[i], point_indices[j]): cnt
                 for (i, j), cnt in by_position.items()}
-    cert = CompleteTupleCertificate(cfg.k, point_indices, connecting, True,
-                                    locality, cell_index, r)
+    cert = CompleteTupleCertificate(cfg.k, point_indices, connecting, locality, cell_index, r)
     revalidate_certificate(arr, cert)
     return cert, attempt
 
@@ -369,7 +349,6 @@ def find_complete_tuple(arr: Arrangement,
                        inc, cfg.c, n)
     r = max(1, min(n, ceil_scaled_pow23(n, cfg.beta_k))) if n else 1
     pr = partition(arr.points, r)
-    counts = _cell_line_counts(arr, pr)
 
     # Slack filter: a line is "rich" when inc(line) >= slack * sqrt(r) * k,
     # compared exactly via squares.
@@ -378,16 +357,15 @@ def find_complete_tuple(arr: Arrangement,
                 if (len(arr.points_on_line(li)) * slack.denominator)**2
                 >= (slack.numerator * cfg.k)**2 * r}
     mode = "rich-lines"
-    sums = _floor_sums(counts, cfg.k, eligible)
-    if not sums or max(sums, default=0) == 0 or not eligible:
-        eligible = None
+    ranking = rank_cells(arr, pr, cfg.k, eligible) if eligible else []
+    if not ranking or ranking[0].floor_sum == 0:
         mode = "all-lines"
-        sums = _floor_sums(counts, cfg.k, None)
+        ranking = rank_cells(arr, pr, cfg.k)
 
-    order = sorted(range(pr.t), key=lambda ci: (-sums[ci], ci))
     attempts: list[CellAttempt] = []
-    for ci in order[:cfg.fallback_cells]:
-        cert, attempt = _attempt_cell(arr, pr.cells[ci], ci, sums[ci], cfg, r)
+    for rep in ranking[:cfg.fallback_cells]:
+        cert, attempt = _attempt_cell(arr, pr.cells[rep.cell_index], rep.cell_index,
+                                      rep.floor_sum, cfg, r)
         attempts.append(attempt)
         if cert is not None:
             return cert
@@ -418,8 +396,7 @@ class InequalityAudit:
 
 
 def inequality_audit(arr: Arrangement, pr: PartitionResult, cfg: PipelineConfig) -> InequalityAudit:
-    counts = _cell_line_counts(arr, pr)
-    floor_sum_total = sum(_floor_sums(counts, cfg.k, None))
+    floor_sum_total = sum(rep.floor_sum for rep in rank_cells(arr, pr, cfg.k))
     r = max(1, pr.r_requested)
     p43_lo, p43_hi = pow43_bounds(arr.n_points)
     lhs_lo = cfg.c / cfg.k * p43_lo

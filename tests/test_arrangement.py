@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from incidences import (Arrangement, FewerThanTwoPointsError, Line, Point,
-                        VerticalLinePresentError, build_incidences, dualize,
+                        VerticalLinePresentError, dualize,
                         generic_shear_value, grid_construction, incidence_stats,
                         measured_density, rich_lines, shear, spanned_lines,
                         st_bound_report)
@@ -17,11 +17,11 @@ from conftest import brute_incidences, random_nonvertical_arrangement
 class TestIncidenceEngine:
     def test_single_point_single_line(self):
         arr = Arrangement([Point(0, 0)], [Line(0, 1, 0)])
-        assert build_incidences(arr) == [(0, 0)]
+        assert list(arr.incidences) == [(0, 0)]
 
     def test_empty(self):
         arr = Arrangement([], [])
-        assert build_incidences(arr) == []
+        assert list(arr.incidences) == []
         assert incidence_stats(arr).n_incidences == 0
 
     def test_matches_brute_force_on_small_grids(self):

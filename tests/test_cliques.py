@@ -96,7 +96,7 @@ class TestEnumerateCompleteTuples:
         tuples = enumerate_complete_tuples(g, triangle_arrangement, 3)
         assert len(tuples) == 1
         assert tuples[0].line_indices == (0, 1, 2)
-        assert tuples[0].general_position_certificate
+        assert degenerate_filter([triangle_arrangement.lines[i] for i in tuples[0].line_indices])
 
     def test_concurrent_clique_not_certified(self):
         lines = [Line(1, 0, 0), Line(0, 1, 0), Line(1, -1, 0)]

@@ -1,5 +1,6 @@
 """Structure pipeline: cell selection, segments, search, locality, audit."""
 
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -10,8 +11,9 @@ from incidences import (Arrangement, CompleteTupleCertificate, Line,
                         break_into_segments, collinear, find_complete_tuple,
                         grid_construction, incident, inequality_audit,
                         locality_counts, measured_density, partition,
-                        revalidate_certificate, select_rich_cell,
+                        rank_cells, revalidate_certificate,
                         spanned_lines)
+from incidences import pipeline
 from conftest import pair_joined
 
 
@@ -38,9 +40,11 @@ class TestPipelineConfig:
 
 
 class TestSelectRichCell:
+    """The rich cell the search tries first is the head of ``rank_cells``."""
+
     def test_single_cell_floor_sum(self, grid3x3):
         pr = partition(grid3x3.points, 1)
-        report = select_rich_cell(grid3x3, pr, 3)
+        report = rank_cells(grid3x3, pr, 3)[0]
         assert report.cell_index == 0
         # 8 lines carry 3 points, 12 lines carry 2: floor sum = 8.
         assert report.floor_sum == 8
@@ -51,7 +55,7 @@ class TestSelectRichCell:
         far_pts = [Point(100 + x, 50 + (x * x) % 7) for x in range(9)]
         arr = Arrangement(rich_pts + far_pts, [Line(0, 1, 0)])
         pr = partition(arr.points, 4)
-        report = select_rich_cell(arr, pr, 3)
+        report = rank_cells(arr, pr, 3)[0]
         assert report.floor_sum >= 3
         cell = pr.cells[report.cell_index]
         assert set(cell.point_indices) >= set(range(5))  # the rich run sits here
@@ -59,7 +63,7 @@ class TestSelectRichCell:
     def test_grid2_exhaustive_counts(self):
         arr = grid_construction(2)
         pr = partition(arr.points, 4)
-        report = select_rich_cell(arr, pr, 3)
+        report = rank_cells(arr, pr, 3)[0]
         cell = set(pr.cells[report.cell_index].point_indices)
         for li, cnt in report.per_line_counts.items():
             members = [i for i in arr.points_on_line(li) if i in cell]
@@ -67,9 +71,24 @@ class TestSelectRichCell:
 
     def test_eligible_filter_restricts_accounting(self, grid3x3):
         pr = partition(grid3x3.points, 1)
-        full = select_rich_cell(grid3x3, pr, 3)
-        nothing = select_rich_cell(grid3x3, pr, 3, eligible_lines=set())
+        full = rank_cells(grid3x3, pr, 3)[0]
+        nothing = rank_cells(grid3x3, pr, 3, eligible_lines=set())[0]
         assert nothing.floor_sum == 0 <= full.floor_sum
+
+    def test_ranks_every_cell_by_floor_sum_then_index(self):
+        rng = random.Random(1)
+        arr = spanned_lines(sorted({(rng.randint(0, 6), rng.randint(0, 6)) for _ in range(30)}))
+        pr = partition(arr.points, 6)
+        ranking = rank_cells(arr, pr, 3)
+        assert sorted(rep.cell_index for rep in ranking) == list(range(pr.t))
+        assert [rep.cell_index for rep in ranking] != list(range(pr.t))
+        keys = [(-rep.floor_sum, rep.cell_index) for rep in ranking]
+        assert keys == sorted(keys)
+        for rep in ranking:
+            cell = set(pr.cells[rep.cell_index].point_indices)
+            assert rep.floor_sum == sum(
+                sum(1 for i in arr.points_on_line(li) if i in cell) // 3
+                for li in range(arr.n_lines))
 
 
 class TestBreakIntoSegments:
@@ -110,7 +129,7 @@ class TestFindCompleteTuple:
         cert = find_complete_tuple(triangle_arrangement, cfg)
         assert isinstance(cert, CompleteTupleCertificate)
         assert set(cert.point_indices) == {0, 1, 2}
-        assert cert.general_position
+        assert not collinear(*(triangle_arrangement.points[i] for i in cert.point_indices))
         revalidate_certificate(triangle_arrangement, cert)
 
     def test_grid3_k3(self):
@@ -214,13 +233,77 @@ class TestLocality:
             locality_counts(arr, [Point(0, 0), Point(0, 0)])
 
 
+class TestSearchSharesLibrarySteps:
+    """find_complete_tuple ranks and segments cells through the public functions."""
+
+    def test_not_found_attempts_follow_the_ranking(self):
+        arr = grid_construction(12)
+        cfg = PipelineConfig(k=4, c=measured_density(arr))
+        report = find_complete_tuple(arr, cfg)
+        assert isinstance(report, NotFoundReport)
+        assert report.accounting_mode == "all-lines"
+        ranking = rank_cells(arr, partition(arr.points, report.r), cfg.k)
+        assert [(a.cell_index, a.floor_sum) for a in report.attempts] == \
+            [(rep.cell_index, rep.floor_sum) for rep in ranking[:cfg.fallback_cells]]
+
+    @pytest.mark.parametrize("arr, k, sheared", [
+        (grid_construction(4), 3, False),
+        (grid_construction(5), 5, False),
+        (spanned_lines([(x, y) for x in range(5) for y in range(5)]), 3, True),
+    ], ids=["grid4-k3", "grid5-k5", "lattice5-k3"])
+    def test_kept_dual_edges_stay_inside_one_run(self, monkeypatch, arr, k, sheared):
+        """Each kept dual edge joins two points of one k-point segment run, or
+        lies on a line holding fewer than k cell points."""
+        pending, shears, searched = [], [], []
+
+        def spy(name, record):
+            real = getattr(pipeline, name)
+
+            def wrapper(*args, **kwargs):
+                record(*args)
+                return real(*args, **kwargs)
+            monkeypatch.setattr(pipeline, name, wrapper)
+
+        spy("shear", lambda sub, s: (pending.append(sub), shears.append(s)))
+        spy("dualize", pending.append)
+
+        def searched_graph(g, dual, k, max_results=None):
+            # The first arrangement handed to shear or dualize is the unsheared cell.
+            searched.append((pending[0], g))
+            pending.clear()
+        spy("enumerate_complete_tuples", searched_graph)
+
+        result = find_complete_tuple(arr, PipelineConfig(k=k, c=measured_density(arr)))
+        assert bool(shears) == sheared
+        pr = partition(arr.points, result.r)
+        point_index = {p: i for i, p in enumerate(arr.points)}
+        line_index = {ln: j for j, ln in enumerate(arr.lines)}
+        on_runs = 0
+        for sub, g in searched:
+            pts = [point_index[p] for p in sub.points]
+            cell_points = set(pts)
+            cell = next(c for c in pr.cells if set(c.point_indices) == cell_points)
+            run_of = {(seg.parent_line, i): n
+                      for n, seg in enumerate(break_into_segments(arr, cell, k))
+                      for i in seg.point_indices}
+            for (u, v), w in g.edges.items():
+                li = line_index[sub.lines[w]]
+                assert incident(arr.points[pts[u]], arr.lines[li])
+                assert incident(arr.points[pts[v]], arr.lines[li])
+                if sum(1 for i in arr.points_on_line(li) if i in cell_points) >= k:
+                    assert (li, pts[u]) in run_of
+                    assert run_of[li, pts[u]] == run_of.get((li, pts[v]))
+                    on_runs += 1
+        assert searched and on_runs
+
+
 class TestRevalidation:
     def test_tampered_certificate_rejected(self):
         arr = grid_construction(3)
         cert = find_complete_tuple(arr, PipelineConfig(k=3, c=Fraction(1, 2)))
         from incidences import CertificateError
         bad = CompleteTupleCertificate(cert.k, cert.point_indices,
-                                       dict(cert.connecting_lines), True,
+                                       dict(cert.connecting_lines),
                                        {p: v + 1 for p, v in cert.locality.items()},
                                        cert.cell_index, cert.r)
         with pytest.raises(CertificateError):
@@ -235,7 +318,7 @@ class TestRevalidation:
                         if not incident(arr.points[pair[0]], arr.lines[li]))
         connecting[pair] = bad_line
         from incidences import CertificateError
-        bad = CompleteTupleCertificate(cert.k, cert.point_indices, connecting, True,
+        bad = CompleteTupleCertificate(cert.k, cert.point_indices, connecting,
                                        dict(cert.locality), cert.cell_index, cert.r)
         with pytest.raises(CertificateError):
             revalidate_certificate(arr, bad)
