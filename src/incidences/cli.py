@@ -20,8 +20,8 @@ import time
 from fractions import Fraction
 
 from . import __version__
-from .arrangement import (Arrangement, grid_construction, incidence_stats,
-                          measured_density, spanned_lines, st_bound_report)
+from .arrangement import (Arrangement, FewerThanTwoPointsError, grid_construction,
+                          incidence_stats, measured_density, spanned_lines, st_bound_report)
 # count_triangles is not called here (analyze reads monitor.triangles) but stays
 # importable from this module: bench/selftest.py patches it as cli.count_triangles.
 from .cliques import count_triangles, de_caen_szekely_monitor  # noqa: F401
@@ -127,7 +127,10 @@ def cmd_generate(args) -> int:
         if args.input is None:
             raise InvalidParamsError("spanned requires --input with the source points")
         src, _ = _read_document(args.input)
-        arr = spanned_lines(src.points)
+        try:
+            arr = spanned_lines(src.points)
+        except FewerThanTwoPointsError as exc:
+            raise InvalidParamsError(f"spanned: {exc}") from exc
         meta = {"generator": "spanned", "params": {"source_points": src.n_points}}
     else:
         if args.seed is None or args.n_points is None or args.n_lines is None:

@@ -88,7 +88,10 @@ def dumps_canonical(obj) -> str:
 
 
 def loads_document(text: str) -> dict:
+    """Parse JSON; integers past Python's int-string limit and over-deep nesting are rejected."""
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:
+        raise DocumentError(f"unreadable JSON: {exc}") from exc

@@ -8,9 +8,10 @@ certify the result.  The search:
   2. picks the cell maximizing the floor-sum  sum_lines floor(|cell on line| / k),
   3. breaks each line's cell points into disjoint runs of k consecutive
      points ("segment lines"), which keeps the output local,
-  4. dualizes the cell's miniature arrangement (shearing first if any line is
-     vertical) and runs the exact clique search for k pairwise-crossing dual
-     lines in general position,
+  4. reads the cell's dual graph off the primal incidence index (a cell
+     point's dual line y = a*x - b is never vertical, so nothing is sheared)
+     and runs the exact clique search for k pairwise-crossing dual lines in
+     general position,
   5. pulls the dual clique back to k cell points pairwise connected by
      arrangement lines and attaches a locality certificate: for every pair,
      the number of arrangement points strictly inside the open connecting
@@ -25,10 +26,11 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping
+from itertools import combinations
+from typing import Mapping
 
-from .arrangement import Arrangement, dualize, generic_shear_value, shear
-from .cliques import IntersectionGraph, build_graph, enumerate_complete_tuples, multiplicity_filter
+from .arrangement import Arrangement, dualize
+from .cliques import IntersectionGraph, enumerate_complete_tuples
 from .geometry import Point, as_rational, collinear, incident, strictly_between
 from .partition import PartitionCell, PartitionResult, partition
 from .roots import ceil_scaled_pow23, pow43_bounds, sqrt_bounds
@@ -46,11 +48,12 @@ class PipelineConfig:
 
     ``beta_k`` defaults to c/(2k); the partition parameter becomes
     r = clamp(ceil(beta_k * n^(2/3)), 1, n).  ``multiplicity_threshold``
-    defaults to max(ceil(100/c), k) and bounds how many lines may pass through
-    a surviving point.  Lines with fewer than ``rich_threshold_slack`` *
-    sqrt(r) * k incidences are ignored when ranking cells; if that filter
-    leaves every cell with floor-sum zero, ranking falls back to all lines
-    (small instances never qualify as rich in the asymptotic sense).
+    defaults to max(ceil(100/c), k); lines holding more cell points than that
+    are not used (dually: over-popular points are dropped).  Lines with fewer
+    than ``rich_threshold_slack`` * sqrt(r) * k incidences are ignored when
+    ranking cells; if that filter leaves every cell with floor-sum zero,
+    ranking falls back to all lines (small instances never qualify as rich in
+    the asymptotic sense).
     """
 
     k: int
@@ -183,10 +186,7 @@ def _cell_points_by_line(arr: Arrangement, cell: PartitionCell) -> dict[int, lis
     """line index -> cell points on it (>= 2 of them), ordered along the line."""
     cellset = set(cell.point_indices)
     out: dict[int, list[int]] = {}
-    lines_seen: set[int] = set()
-    for pi in cell.point_indices:
-        lines_seen.update(arr.lines_through_point(pi))
-    for li in sorted(lines_seen):
+    for li in sorted({li for pi in cell.point_indices for li in arr.lines_through_point(pi)}):
         members = [pi for pi in arr.points_on_line(li) if pi in cellset]
         if len(members) >= 2:
             members.sort(key=lambda pi: (arr.points[pi].x, arr.points[pi].y))
@@ -204,14 +204,13 @@ def break_into_segments(arr: Arrangement, cell: PartitionCell, k: int) -> list[S
     if k < 3:
         raise ValueError("k must be >= 3")
     return [SegmentLine(li, run, (arr.points[run[0]], arr.points[run[-1]]))
-            for li, run in _runs(_cell_points_by_line(arr, cell), k)]
+            for li, runs in _runs(_cell_points_by_line(arr, cell), k).items() for run in runs]
 
 
-def _runs(by_line: dict[int, list[int]], k: int) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """Yield (line, run) for each run of k consecutive cell points along a line."""
-    for li, members in by_line.items():
-        for g in range(len(members) // k):
-            yield li, tuple(members[g * k:(g + 1) * k])
+def _runs(by_line: dict[int, list[int]], k: int) -> dict[int, list[tuple[int, ...]]]:
+    """line -> its runs of k consecutive cell points, for lines holding >= k of them."""
+    return {li: [tuple(members[g * k:(g + 1) * k]) for g in range(len(members) // k)]
+            for li, members in by_line.items() if len(members) >= k}
 
 
 def locality_counts(arr: Arrangement, points: list[Point]) -> dict[tuple[int, int], int]:
@@ -272,41 +271,36 @@ def revalidate_certificate(arr: Arrangement, cert: CompleteTupleCertificate) -> 
 def _attempt_cell(arr: Arrangement, cell: PartitionCell, cell_index: int,
                   floor_sum: int, cfg: PipelineConfig, r: int
                   ) -> tuple[CompleteTupleCertificate | None, CellAttempt]:
-    """Run the dual clique search inside one cell."""
+    """Run the dual clique search inside one cell, read off the primal index.
+
+    Vertex i is the i-th cell point in index order (dually, the never-vertical
+    line y = a*x - b); edge (i, j) is labelled w, the position in
+    ``sorted(by_line)`` of the line through both (dually, their crossing).
+    Lines holding more than ``multiplicity_threshold`` cell points are not
+    used; on a line holding >= k, only pairs inside one k-point run are, which
+    keeps the final tuple local.
+    """
     by_line = _cell_points_by_line(arr, cell)
-    # Segment bookkeeping: on lines holding >= k cell points, only pairs
-    # inside one run of k consecutive points may be used, which is what keeps
-    # the final tuple local.  Lines with 2..k-1 cell points stay usable whole.
-    run_of: dict[int, dict[int, int]] = {}  # line -> cell point -> segment number
-    segment_count = 0
-    for li, run in _runs(by_line, cfg.k):
-        run_of.setdefault(li, {}).update(dict.fromkeys(run, segment_count))
-        segment_count += 1
+    runs_on = _runs(by_line, cfg.k)
+    segment_count = sum(len(runs) for runs in runs_on.values())
     sub_line_idx = sorted(by_line)
-    miss = CellAttempt(cell_index, floor_sum, len(sub_line_idx), segment_count, 0, False)
     if not sub_line_idx:
-        return None, miss
+        return None, CellAttempt(cell_index, floor_sum, 0, 0, 0, False)
     sub_point_idx = sorted(cell.point_indices)
-    sub = Arrangement([arr.points[pi] for pi in sub_point_idx],
-                      [arr.lines[li] for li in sub_line_idx])
-    s_shear = generic_shear_value(sub.lines)
-    if s_shear:
-        sub = shear(sub, s_shear)
-    dual = dualize(sub)
-    kept = multiplicity_filter(dual, cfg.multiplicity_threshold)
-    g = build_graph(dual, kept)
-
+    vertex = {pi: i for i, pi in enumerate(sub_point_idx)}
+    mult = {w: len(by_line[li]) for w, li in enumerate(sub_line_idx)}
+    kept = frozenset(w for w, m in mult.items() if m <= cfg.multiplicity_threshold)
     edges: dict[tuple[int, int], int] = {}
-    for (u, v), w in g.edges.items():
-        runs = run_of.get(sub_line_idx[w])
-        if runs is not None:
-            ru = runs.get(sub_point_idx[u])
-            if ru is None or ru != runs.get(sub_point_idx[v]):
-                continue
-        edges[(u, v)] = w
-    g_local = IntersectionGraph(dual.n_lines, edges, g.point_multiplicity, g.kept_points)
+    for w in sorted(kept):
+        li = sub_line_idx[w]
+        for group in runs_on.get(li, [by_line[li]]):
+            for u, v in combinations(sorted(vertex[pi] for pi in group), 2):
+                assert (u, v) not in edges, "two distinct lines crossing twice"
+                edges[u, v] = w
+    g = IntersectionGraph(len(sub_point_idx), edges, mult, kept)
+    dual = dualize(Arrangement([arr.points[pi] for pi in sub_point_idx], []))
 
-    found = enumerate_complete_tuples(g_local, dual, cfg.k, max_results=1)
+    found = enumerate_complete_tuples(g, dual, cfg.k, max_results=1)
     attempt = CellAttempt(cell_index, floor_sum, len(sub_line_idx), segment_count,
                           len(edges), bool(found))
     if not found:

@@ -227,6 +227,19 @@ class TestArgumentErrors:
     def test_missing_required(self):
         assert main(["theorem1"]) == 2
 
+    @pytest.mark.parametrize("command, text", [
+        (["analyze"], '{"schema_version": "1", "points": [[[' + "1" * 5001
+         + ', 1], [0, 1]]], "lines": []}'),
+        (["analyze"], "[" * 100000),
+        (["generate", "--kind", "spanned"],
+         dumps_canonical(arrangement_to_document(Arrangement([Point(0, 0)], [])))),
+    ], ids=["5001-digit-numerator", "deep-nesting", "spanned-one-point"])
+    def test_rejected_input_exits_2(self, tmp_path, capsys, command, text):
+        doc = tmp_path / "in.json"
+        doc.write_text(text)
+        assert main(command + ["--input", str(doc), "--output", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
 
 class TestRandomArrangement:
     def test_deterministic_for_seed(self):

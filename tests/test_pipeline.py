@@ -8,10 +8,11 @@ import pytest
 
 from incidences import (Arrangement, CompleteTupleCertificate, Line,
                         NotFoundReport, PipelineConfig, Point,
-                        break_into_segments, collinear, find_complete_tuple,
+                        break_into_segments, build_graph, collinear, dualize,
+                        find_complete_tuple, generic_shear_value,
                         grid_construction, incident, inequality_audit,
-                        locality_counts, measured_density, partition,
-                        rank_cells, revalidate_certificate,
+                        locality_counts, measured_density, multiplicity_filter,
+                        partition, rank_cells, revalidate_certificate, shear,
                         spanned_lines)
 from incidences import pipeline
 from conftest import pair_joined
@@ -246,54 +247,62 @@ class TestSearchSharesLibrarySteps:
         assert [(a.cell_index, a.floor_sum) for a in report.attempts] == \
             [(rep.cell_index, rep.floor_sum) for rep in ranking[:cfg.fallback_cells]]
 
-    @pytest.mark.parametrize("arr, k, sheared", [
-        (grid_construction(4), 3, False),
-        (grid_construction(5), 5, False),
-        (spanned_lines([(x, y) for x in range(5) for y in range(5)]), 3, True),
-    ], ids=["grid4-k3", "grid5-k5", "lattice5-k3"])
-    def test_kept_dual_edges_stay_inside_one_run(self, monkeypatch, arr, k, sheared):
-        """Each kept dual edge joins two points of one k-point segment run, or
-        lies on a line holding fewer than k cell points."""
-        pending, shears, searched = [], [], []
+    @pytest.mark.parametrize("arr, k, threshold, sheared", [
+        (grid_construction(4), 3, None, False),
+        (grid_construction(5), 5, None, False),
+        (spanned_lines([(x, y) for x in range(5) for y in range(5)]), 3, None, True),
+        (spanned_lines([(x, y) for x in range(5) for y in range(10)]), 3, 3, True),
+    ], ids=["grid4-k3", "grid5-k5", "lattice5-k3", "lattice5x10-k3-threshold3"])
+    def test_kept_dual_edges_stay_inside_one_run(self, monkeypatch, arr, k, threshold, sheared):
+        """The searched graph is, label for label, the one built by dualizing the
+        cell sub-arrangement (sheared if a line is vertical), filtering it by
+        multiplicity and keeping only pairs inside one k-point segment run.
+        Each kept dual edge joins two points of one run, or lies on a line
+        holding fewer than k cell points."""
+        searched = []
+        real = pipeline.enumerate_complete_tuples
 
-        def spy(name, record):
-            real = getattr(pipeline, name)
+        def spy(g, dual, k, max_results=None):
+            searched.append((g, dual))
+            return real(g, dual, k, max_results=max_results)
+        monkeypatch.setattr(pipeline, "enumerate_complete_tuples", spy)
 
-            def wrapper(*args, **kwargs):
-                record(*args)
-                return real(*args, **kwargs)
-            monkeypatch.setattr(pipeline, name, wrapper)
-
-        spy("shear", lambda sub, s: (pending.append(sub), shears.append(s)))
-        spy("dualize", pending.append)
-
-        def searched_graph(g, dual, k, max_results=None):
-            # The first arrangement handed to shear or dualize is the unsheared cell.
-            searched.append((pending[0], g))
-            pending.clear()
-        spy("enumerate_complete_tuples", searched_graph)
-
-        result = find_complete_tuple(arr, PipelineConfig(k=k, c=measured_density(arr)))
-        assert bool(shears) == sheared
+        cfg = PipelineConfig(k=k, c=measured_density(arr), multiplicity_threshold=threshold)
+        result = find_complete_tuple(arr, cfg)
         pr = partition(arr.points, result.r)
         point_index = {p: i for i, p in enumerate(arr.points)}
-        line_index = {ln: j for j, ln in enumerate(arr.lines)}
-        on_runs = 0
-        for sub, g in searched:
-            pts = [point_index[p] for p in sub.points]
+        shears, cut, on_runs = [], 0, 0
+        for g, dual in searched:
+            # Duality is an involution: the dual's lines give back the cell.
+            pts = [point_index[p] for p in dualize(dual).points]
             cell_points = set(pts)
             cell = next(c for c in pr.cells if set(c.point_indices) == cell_points)
+            on_cell = {li: sum(1 for i in arr.points_on_line(li) if i in cell_points)
+                       for li in range(arr.n_lines)}
+            lines = [li for li in range(arr.n_lines) if on_cell[li] >= 2]
+            sub = Arrangement([arr.points[i] for i in pts], [arr.lines[li] for li in lines])
+            shears.append(generic_shear_value(sub.lines))
+            ref_dual = dualize(shear(sub, shears[-1]) if shears[-1] else sub)
+            ref = build_graph(ref_dual, multiplicity_filter(ref_dual, cfg.multiplicity_threshold))
+            cut += len(lines) - len(ref.kept_points)
             run_of = {(seg.parent_line, i): n
                       for n, seg in enumerate(break_into_segments(arr, cell, k))
                       for i in seg.point_indices}
+            expected = {(u, v): w for (u, v), w in ref.edges.items()
+                        if on_cell[lines[w]] < k or (run_of.get((lines[w], pts[u])) is not None
+                                                     and run_of[lines[w], pts[u]]
+                                                     == run_of.get((lines[w], pts[v])))}
+            assert dict(g.edges) == expected
             for (u, v), w in g.edges.items():
-                li = line_index[sub.lines[w]]
+                li = lines[w]
                 assert incident(arr.points[pts[u]], arr.lines[li])
                 assert incident(arr.points[pts[v]], arr.lines[li])
-                if sum(1 for i in arr.points_on_line(li) if i in cell_points) >= k:
+                if on_cell[li] >= k:
                     assert (li, pts[u]) in run_of
                     assert run_of[li, pts[u]] == run_of.get((li, pts[v]))
                     on_runs += 1
+        assert any(shears) == sheared
+        assert bool(cut) == (threshold is not None)
         assert searched and on_runs
 
 
