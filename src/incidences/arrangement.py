@@ -1,16 +1,18 @@
 """Arrangement model, extremal generators, incidence engine, and duality.
 
 An :class:`Arrangement` is an indexed point set plus an indexed line set with
-a lazily materialized, cached incidence relation.  The incidence engine is the
-naive exact scan over all (point, line) pairs: at the scales this toolkit
-targets that is fast enough and trivially correct, and it doubles as the
-oracle every other count is measured against.
+a lazily materialized, cached incidence relation.  The incidence engine is a
+hashed, int-only build: point coordinates are cleared of denominators once,
+the points are indexed by column, and each non-vertical line is solved at
+every column, so no (point, line) pair is scanned.  The independent oracle is
+the pairwise scan ``brute_incidences`` in ``tests/conftest.py``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .geometry import Line, Point, as_rational, line_through
 from .roots import RATIONAL_SCALE, icbrt
@@ -53,14 +55,36 @@ class Arrangement:
 
     @property
     def incidences(self) -> tuple[tuple[int, int], ...]:
-        """All (point-index, line-index) pairs, sorted by (line, point)."""
+        """All (point-index, line-index) pairs, sorted by (line, point).
+
+        With d the lcm of all coordinate denominators, point (x, y) becomes
+        the integer pair (X, Y) = (d*x, d*y) and line (a, b, c) holds it iff
+        a*X + b*Y + c*d == 0.  The points are indexed by column X.  A vertical
+        line is one column lookup; any other line is solved for Y at each
+        column, and a divisibility test plus a dict lookup finds the point.
+        """
         if self._incidences is None:
-            coords = [(p.x, p.y) for p in self.points]
-            pairs = []
+            d = lcm(*(q.denominator for p in self.points for q in (p.x, p.y)))
+            column: dict[int, dict[int, int]] = {}   # X -> {Y: point index}
+            for i, p in enumerate(self.points):
+                column.setdefault(int(p.x * d), {})[int(p.y * d)] = i
+            columns = list(column.items())
+            pairs: list[tuple[int, int]] = []
             for j, ln in enumerate(self.lines):
-                a, b, c = ln.a, ln.b, ln.c
-                pairs.extend((i, j) for i, (x, y) in enumerate(coords)
-                             if a * x + b * y + c == 0)
+                a, b, cd = ln.a, ln.b, ln.c * d
+                if b == 0:
+                    # a*X + cd == 0: one whole column.
+                    on = column.get(-cd // a, {}).values() if cd % a == 0 else ()
+                else:
+                    # Solve b*Y = -(a*X + cd) at each column X.
+                    on = []
+                    for x, ys in columns:
+                        t = a * x + cd
+                        if t % b == 0:
+                            i = ys.get(-t // b)
+                            if i is not None:
+                                on.append(i)
+                pairs.extend((i, j) for i in sorted(on))
             self._incidences = tuple(pairs)
         return self._incidences
 

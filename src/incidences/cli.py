@@ -15,6 +15,7 @@ import argparse
 import logging
 import os
 import random
+import stat
 import sys
 import time
 from fractions import Fraction
@@ -96,11 +97,33 @@ def _read_document(path: str) -> tuple[Arrangement, dict]:
 
 
 def _write_text(path: str | None, text: str) -> None:
+    """Write to stdout, or to ``path``, atomically when it is a regular file.
+
+    For a new or regular file (symlinks resolved), the text goes to a new file
+    beside it, given the old file's mode, which then replaces it in one
+    rename, so a reader never sees a partial report; the temp file is removed
+    on error.  Anything else (``/dev/null``, a FIFO) is written through as is.
+    """
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    target = os.path.realpath(path)
+    exists = os.path.exists(target)
+    if exists and not os.path.isfile(target):
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
+        return
+    tmp = f"{target}.{os.getpid()}.{os.urandom(4).hex()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "w", encoding="utf-8") as fh:
+            if exists:
+                os.fchmod(fh.fileno(), stat.S_IMODE(os.stat(target).st_mode))
+            fh.write(text)
+        os.replace(tmp, target)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _stats_payload(arr: Arrangement) -> dict:

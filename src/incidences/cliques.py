@@ -14,6 +14,7 @@ feasible and a stronger certificate than any counting argument.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Iterable, Mapping
 
 from .arrangement import Arrangement
@@ -88,17 +89,36 @@ def build_graph(arr: Arrangement, kept_points: Iterable[int]) -> IntersectionGra
 
 
 def _degeneracy_order(n: int, adj: list[set[int]]) -> list[int]:
-    """Removal order by repeatedly deleting a min-degree vertex (ties by index)."""
+    """Removal order by repeatedly deleting a min-degree vertex (ties by index).
+
+    Bucket queue (Matula & Beck): bucket d is a heap of vertex indices that
+    had degree d when pushed; an entry whose vertex is gone or whose degree
+    has dropped since is stale and skipped.  A removal lowers the minimum
+    degree by at most one, so the scan resumes one bucket down.  The order is
+    exactly that of taking min((degree, index)) each time.
+    """
     degree = [len(adj[v]) for v in range(n)]
+    buckets: list[list[int]] = [[] for _ in range(max(degree, default=0) + 1)]
+    for v in range(n):
+        buckets[degree[v]].append(v)   # ascending, hence already a heap
     removed = [False] * n
     order = []
-    for _ in range(n):
-        v = min((degree[u], u) for u in range(n) if not removed[u])[1]
+    d = 0
+    while len(order) < n:
+        bucket = buckets[d]
+        while bucket and (removed[bucket[0]] or degree[bucket[0]] != d):
+            heappop(bucket)
+        if not bucket:
+            d += 1
+            continue
+        v = heappop(bucket)
         removed[v] = True
         order.append(v)
         for w in adj[v]:
             if not removed[w]:
                 degree[w] -= 1
+                heappush(buckets[degree[w]], w)
+        d = max(d - 1, 0)
     return order
 
 

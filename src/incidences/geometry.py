@@ -84,9 +84,11 @@ class Line:
     @classmethod
     def from_coefficients(cls, a, b, c) -> "Line":
         """Canonicalize arbitrary rational coefficients of a*x + b*y + c = 0."""
-        fa, fb, fc = Fraction(as_rational(a)), Fraction(as_rational(b)), Fraction(as_rational(c))
-        mult = lcm(fa.denominator, fb.denominator, fc.denominator)
-        ia, ib, ic = int(fa * mult), int(fb * mult), int(fc * mult)
+        ia, ib, ic = as_rational(a), as_rational(b), as_rational(c)
+        if not (type(ia) is int and type(ib) is int and type(ic) is int):
+            fa, fb, fc = Fraction(ia), Fraction(ib), Fraction(ic)
+            mult = lcm(fa.denominator, fb.denominator, fc.denominator)
+            ia, ib, ic = int(fa * mult), int(fb * mult), int(fc * mult)
         if ia == 0 and ib == 0:
             raise ValueError("(a, b) == (0, 0) does not define a line")
         g = gcd(gcd(abs(ia), abs(ib)), abs(ic))

@@ -214,15 +214,16 @@ def _runs(by_line: dict[int, list[int]], k: int) -> dict[int, list[tuple[int, ..
 
 
 def locality_counts(arr: Arrangement, points: list[Point]) -> dict[tuple[int, int], int]:
-    """For each pair (by list position), arrangement points strictly between them."""
+    """For each pair (by list position), arrangement points strictly between them.
+
+    The segment is open, so ``strictly_between`` already rejects both endpoints.
+    """
     if len(set(points)) != len(points):
         raise ValueError("points must be distinct")
     out: dict[tuple[int, int], int] = {}
     for i in range(len(points)):
         for j in range(i + 1, len(points)):
-            between = sum(1 for q in arr.points
-                          if q != points[i] and q != points[j]
-                          and strictly_between(points[i], points[j], q))
+            between = sum(1 for q in arr.points if strictly_between(points[i], points[j], q))
             out[(i, j)] = between
     return out
 
@@ -260,8 +261,7 @@ def revalidate_certificate(arr: Arrangement, cert: CompleteTupleCertificate) -> 
         raise CertificateError("locality map does not cover exactly all pairs")
     for (pi, pj), reported in cert.locality.items():
         p, q = arr.points[pi], arr.points[pj]
-        actual = sum(1 for z in arr.points
-                     if z != p and z != q and strictly_between(p, q, z))
+        actual = sum(1 for z in arr.points if strictly_between(p, q, z))
         if actual != reported:
             raise CertificateError(f"locality of {(pi, pj)} is {actual}, reported {reported}")
         if reported >= k:

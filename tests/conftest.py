@@ -22,6 +22,21 @@ def brute_incidences(arr: Arrangement) -> set[tuple[int, int]]:
             for j, l in enumerate(arr.lines) if incident(p, l)}
 
 
+def brute_degeneracy_order(n: int, adj: list[set[int]]) -> list[int]:
+    """Removal order by repeatedly deleting a min-degree vertex (ties by index)."""
+    degree = [len(adj[v]) for v in range(n)]
+    removed = [False] * n
+    order = []
+    for _ in range(n):
+        v = min((degree[u], u) for u in range(n) if not removed[u])[1]
+        removed[v] = True
+        order.append(v)
+        for w in adj[v]:
+            if not removed[w]:
+                degree[w] -= 1
+    return order
+
+
 def pair_joined(arr: Arrangement, i: int, j: int) -> bool:
     """True iff some arrangement line passes through both points."""
     return any(incident(arr.points[i], l) and incident(arr.points[j], l)

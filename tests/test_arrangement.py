@@ -1,6 +1,8 @@
 """Arrangement model, generators, incidence engine, rich lines, duality."""
 
+import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -9,8 +11,8 @@ from hypothesis import strategies as st
 from incidences import (Arrangement, FewerThanTwoPointsError, Line, Point,
                         VerticalLinePresentError, dualize,
                         generic_shear_value, grid_construction, incidence_stats,
-                        measured_density, rich_lines, shear, spanned_lines,
-                        st_bound_report)
+                        line_through, measured_density, rich_lines, shear,
+                        spanned_lines, st_bound_report)
 from conftest import brute_incidences, random_nonvertical_arrangement
 
 
@@ -38,6 +40,77 @@ class TestIncidenceEngine:
             Arrangement([Point(0, 0), Point(0, 0)], [])
         with pytest.raises(ValueError):
             Arrangement([], [Line(0, 1, 0), Line(0, 1, 0)])
+
+
+def mixed_arrangement(seed: int, n_columns: int, n_rows: int) -> Arrangement:
+    """Points on n_columns x-values and n_rows y-values with denominators 1, 2,
+    3 and 16; spanned, vertical, horizontal, random and point-free lines."""
+    rng = random.Random(seed)
+
+    def value(i):
+        den = (1, 2, 3, 16)[i % 4]
+        num = rng.randint(-40, 40)
+        while gcd(num, den) != 1:
+            num += 1
+        return Fraction(num, den)
+
+    xs = [value(i) for i in range(n_columns)]
+    ys = [value(i) for i in range(n_rows)]
+    points = list(dict.fromkeys(Point(rng.choice(xs), rng.choice(ys))
+                                for _ in range(3 * max(n_columns, n_rows))))
+    lines = {line_through(*rng.sample(points, 2)): None for _ in range(40)}
+    for x in xs[:3]:
+        lines[Line.from_coefficients(1, 0, -x)] = None
+    for y in ys[:3]:
+        lines[Line.from_coefficients(0, 1, -y)] = None
+    for _ in range(10):
+        lines[Line.from_coefficients(rng.randint(-5, 5), rng.randint(1, 5),
+                                     rng.randint(-50, 50))] = None
+    # Point-free: vertical, horizontal and sloped, all far outside [-40, 40]^2.
+    lines.update(dict.fromkeys([Line(1, 0, -1000), Line(0, 1, 1000), Line(1, 1, -10**4)]))
+    return Arrangement(points, lines)
+
+
+def by_line_then_point(pairs):
+    return sorted(pairs, key=lambda ij: (ij[1], ij[0]))
+
+
+class TestHashedIncidences:
+    """The hashed build against the pairwise scan ``brute_incidences``."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("n_columns, n_rows", [(4, 15), (15, 4)],
+                             ids=["fewer-columns", "fewer-rows"])
+    def test_matches_the_pairwise_scan(self, seed, n_columns, n_rows):
+        arr = mixed_arrangement(seed, n_columns, n_rows)
+        assert list(arr.incidences) == by_line_then_point(brute_incidences(arr))
+        columns = {p.x for p in arr.points}
+        rows = {p.y for p in arr.points}
+        assert (len(columns) < len(rows)) == (n_columns < n_rows)
+        denominators = {Fraction(v).denominator for v in columns | rows}
+        assert {2, 3, 16} <= denominators
+        counts = [len(arr.points_on_line(j)) for j in range(arr.n_lines)]
+        kinds = {("vertical" if ln.b == 0 else "horizontal" if ln.a == 0 else "sloped",
+                  cnt > 0) for ln, cnt in zip(arr.lines, counts)}
+        assert kinds == {(kind, hit) for kind in ("vertical", "horizontal", "sloped")
+                         for hit in (True, False)}
+
+    def test_fractional_point_on_an_integral_line(self):
+        # 16x - y - 35 = 0 at y = -58 gives x = -23/16: an integral line holds a
+        # point with a fractional coordinate, found only once denominators are
+        # cleared.  The second point shares the row but is not on the line.
+        arr = Arrangement([Point(Fraction(-23, 16), -58), Point(0, -58)], [Line(16, -1, -35)])
+        assert list(arr.incidences) == [(0, 0)]
+        assert list(arr.incidences) == by_line_then_point(brute_incidences(arr))
+
+    def test_vertical_line_between_columns(self):
+        # x = 1/2 floors to the column x = 0, which holds a point; x = -1/2 floors to x = -1.
+        arr = Arrangement([Point(0, 0), Point(-1, 5)], [Line(2, 0, -1), Line(2, 0, 1)])
+        assert arr.incidences == ()
+
+    def test_lines_without_points_and_points_without_lines(self):
+        assert Arrangement([], [Line(1, 0, 0), Line(0, 1, 3)]).incidences == ()
+        assert Arrangement([Point(1, 2), Point(Fraction(1, 3), 0)], []).incidences == ()
 
 
 class TestGridConstruction:

@@ -1,14 +1,22 @@
 """Command-line surface: documents, reports, exit codes, determinism."""
 
+import copy
 import json
+import os
+import stat
+import tempfile
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from incidences import Arrangement, Line, Point, grid_construction, spanned_lines
-from incidences.cli import main, random_arrangement
+from incidences.cli import _write_text, main, random_arrangement
 from incidences.documents import (DocumentError, arrangement_from_document,
                                   arrangement_to_document, dumps_canonical,
-                                  loads_document)
+                                  loads_document, pair_to_rational,
+                                  rational_to_pair)
 
 
 def write_doc(path, arr, metadata=None):
@@ -26,7 +34,6 @@ class TestDocuments:
         assert meta == {"generator": "grid"}
 
     def test_round_trip_rational_coordinates(self):
-        from fractions import Fraction
         arr = Arrangement([Point(Fraction(1, 3), Fraction(-2, 7))], [Line(3, -1, 0)])
         back, _ = arrangement_from_document(arrangement_to_document(arr))
         assert back.points == arr.points
@@ -36,6 +43,19 @@ class TestDocuments:
         text = dumps_canonical(arrangement_to_document(arr))
         back, _ = arrangement_from_document(loads_document(text))
         assert dumps_canonical(arrangement_to_document(back)) == text
+
+    @pytest.mark.parametrize("n", [0, 1, -7, 10**30])
+    def test_integral_pairs_read_as_int(self, n):
+        v = pair_to_rational([n, 1], "x")
+        assert v == n and type(v) is int
+        assert rational_to_pair(n) == [n, 1]
+
+    def test_fraction_pairs(self):
+        assert pair_to_rational([6, 4], "x") == Fraction(3, 2)
+        v = pair_to_rational([-6, 3], "x")
+        assert v == -2 and type(v) is int
+        assert rational_to_pair(Fraction(-3, 2)) == [-3, 2]
+        assert rational_to_pair(Fraction(4, 2)) == [2, 1]
 
     def test_malformed_documents(self):
         with pytest.raises(DocumentError):
@@ -239,6 +259,136 @@ class TestArgumentErrors:
         doc.write_text(text)
         assert main(command + ["--input", str(doc), "--output", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+
+class TestAtomicWrite:
+    def test_exact_bytes_and_no_temp_file_left(self, tmp_path):
+        out = tmp_path / "report.json"
+        out.write_text("old contents that are longer than the new ones\n")
+        text = dumps_canonical({"a": [1, 2], "b": "\u00e9"})
+        _write_text(str(out), text)
+        assert out.read_bytes() == text.encode("utf-8")
+        assert os.listdir(tmp_path) == ["report.json"]
+
+    def test_cli_report_leaves_only_the_report(self, tmp_path):
+        doc = write_doc(tmp_path / "g2.json", grid_construction(2))
+        out = tmp_path / "report.json"
+        assert main(["analyze", "--input", doc, "--output", str(out)]) == 0
+        assert sorted(os.listdir(tmp_path)) == ["g2.json", "report.json"]
+
+    def test_failed_replace_removes_the_temp_file(self, tmp_path, monkeypatch):
+        target = tmp_path / "report.json"
+        target.write_text("old\n")
+
+        def refuse(src, dst):
+            raise OSError("replace refused")
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError, match="replace refused"):
+            _write_text(str(target), "new\n")
+        assert os.listdir(tmp_path) == ["report.json"]
+        assert target.read_text() == "old\n"
+
+    def test_writes_through_a_symlink(self, tmp_path):
+        real = tmp_path / "real.json"
+        real.write_text("old\n")
+        link = tmp_path / "link.json"
+        link.symlink_to(real)
+        _write_text(str(link), "new\n")
+        assert link.is_symlink() and os.readlink(link) == str(real)
+        assert real.read_text() == "new\n"
+        assert sorted(os.listdir(tmp_path)) == ["link.json", "real.json"]
+
+    def test_keeps_the_mode_of_an_existing_file(self, tmp_path):
+        out = tmp_path / "report.json"
+        out.write_text("old\n")
+        out.chmod(0o640)
+        _write_text(str(out), "new\n")
+        assert stat.S_IMODE(out.stat().st_mode) == 0o640
+        assert out.read_text() == "new\n"
+
+    def test_writes_into_a_fifo_and_keeps_it(self, tmp_path):
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            _write_text(str(fifo), "report\n")
+            assert os.read(reader, 100) == b"report\n"
+        finally:
+            os.close(reader)
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert os.listdir(tmp_path) == ["pipe"]
+
+
+SEED_DOCUMENTS = [
+    arrangement_to_document(grid_construction(1), {"generator": "grid", "params": {"n": 1}}),
+    arrangement_to_document(spanned_lines(
+        [Point(0, 0), Point(2, 0), Point(0, 2), Point(Fraction(1, 2), Fraction(5, 3))])),
+    arrangement_to_document(random_arrangement(1, 5, 4, 20)),
+]
+COMMANDS = [
+    ["analyze"],
+    ["partition", "--r", "3"],
+    ["theorem1", "--k", "3", "--c", "auto"],
+    ["theorem1", "--k", "3", "--c", "1/2", "--beta-k", "1"],
+    ["generate", "--kind", "spanned"],
+]
+json_leaf = st.one_of(st.none(), st.booleans(), st.integers(-3, 3), st.integers(),
+                      st.floats(allow_nan=False, allow_infinity=False), st.text(max_size=4))
+json_value = st.recursive(json_leaf, lambda kids: st.one_of(
+    st.lists(kids, max_size=3), st.dictionaries(st.text(max_size=4), kids, max_size=3)),
+    max_leaves=8)
+
+
+def _locations(node, out):
+    """Every (container, key) pair in a JSON tree, parents before children."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in items:
+        out.append((node, key))
+        if isinstance(child, (dict, list)):
+            _locations(child, out)
+    return out
+
+
+@st.composite
+def mutated_documents(draw):
+    doc = copy.deepcopy(draw(st.sampled_from(SEED_DOCUMENTS)))
+    for _ in range(draw(st.integers(1, 3))):
+        spots = _locations(doc, [])
+        if not spots:
+            break
+        container, key = draw(st.sampled_from(spots))
+        action = draw(st.sampled_from(["replace", "delete", "nudge", "nudge", "duplicate"]))
+        if action == "replace":
+            container[key] = draw(json_value)
+        elif action == "delete":
+            del container[key]
+        elif action == "nudge" and type(container[key]) is int:
+            container[key] = draw(st.sampled_from([0, -1, -container[key], container[key] + 1]))
+        elif action == "duplicate" and isinstance(container, list):
+            container.append(copy.deepcopy(container[key]))
+    text = json.dumps(doc)
+    if draw(st.integers(0, 3)) == 0:
+        at = draw(st.integers(0, len(text)))
+        cut = draw(st.integers(0, 3))
+        text = text[:at] + draw(st.text(alphabet='[]{},:"-0123456789e', max_size=3)) + text[at + cut:]
+    return text
+
+
+class TestFuzzedDocuments:
+    @given(mutated_documents(), st.sampled_from(COMMANDS))
+    @example('{"schema_version": "1", "points": [[[1, 0], [0, 1]]], "lines": []}', ["analyze"])
+    @example('{"schema_version": "1", "points": [[[1, 1], [true, 1]]], "lines": []}', ["analyze"])
+    @example('{"schema_version": "1", "points": [], "lines": [[1, "0", 0]]}', ["analyze"])
+    @example('{"schema_version": "1", "points": [], "lines": [], "metadata": 7}',
+             ["partition", "--r", "3"])
+    @settings(max_examples=100, deadline=None)
+    def test_exit_code_is_never_internal_error(self, text, command):
+        with tempfile.TemporaryDirectory() as tmp:
+            doc = os.path.join(tmp, "in.json")
+            with open(doc, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            code = main(command + ["--input", doc, "--output", os.path.join(tmp, "out")])
+        assert code in (0, 2, 3)
 
 
 class TestRandomArrangement:

@@ -1,17 +1,21 @@
 """Intersection graph, complete-tuple enumeration, triangles, decompositions."""
 
+import random
 from itertools import combinations
 
 import pytest
 
-from incidences import (Arrangement, Line, Point, build_graph, count_triangles,
-                        de_caen_szekely_monitor, degenerate_filter, dualize,
+from incidences import (Arrangement, Line, PipelineConfig, Point, build_graph,
+                        count_triangles, de_caen_szekely_monitor,
+                        degenerate_filter, dualize,
                         edge_disjoint_decomposition_stats,
-                        enumerate_complete_tuples, grid_construction,
-                        intersection, multiplicity_filter, point_multiplicities)
+                        enumerate_complete_tuples, find_complete_tuple,
+                        grid_construction, intersection, measured_density,
+                        multiplicity_filter, pipeline, point_multiplicities)
 from incidences.cli import random_arrangement
-from conftest import (brute_complete_line_tuples, brute_triangles,
-                      random_nonvertical_arrangement)
+from incidences.cliques import _degeneracy_order
+from conftest import (brute_complete_line_tuples, brute_degeneracy_order,
+                      brute_triangles, random_nonvertical_arrangement)
 
 
 def crossing_arrangement(lines):
@@ -88,6 +92,39 @@ class TestDegenerateFilter:
     def test_requires_distinct_lines(self):
         with pytest.raises(ValueError):
             degenerate_filter([Line(1, 0, 0), Line(1, 0, 0), Line(0, 1, 0)])
+
+
+class TestDegeneracyOrder:
+    """The bucket queue against the min-scan ``brute_degeneracy_order``."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_the_min_scan_on_random_graphs(self, seed):
+        rng = random.Random(seed)
+        n = rng.randint(0, 60)
+        isolated = set(rng.sample(range(n), n // 5))
+        p = rng.choice((0.05, 0.1, 0.3, 0.6))
+        adj = [set() for _ in range(n)]
+        for u, v in combinations(range(n), 2):
+            if u not in isolated and v not in isolated and rng.random() < p:
+                adj[u].add(v)
+                adj[v].add(u)
+        assert _degeneracy_order(n, adj) == brute_degeneracy_order(n, adj)
+
+    def test_matches_the_min_scan_on_a_grid6_cell(self, monkeypatch):
+        graphs = []
+        real = pipeline.enumerate_complete_tuples
+
+        def spy(g, dual, k, max_results=None):
+            graphs.append(g)
+            return real(g, dual, k, max_results=max_results)
+        monkeypatch.setattr(pipeline, "enumerate_complete_tuples", spy)
+        arr = grid_construction(6)
+        find_complete_tuple(arr, PipelineConfig(k=4, c=measured_density(arr)))
+        g = graphs[0]
+        adj = g.adjacency()
+        degrees = [len(a) for a in adj]
+        assert g.n_vertices > 20 and len(set(degrees)) < len(degrees) and 0 in degrees
+        assert _degeneracy_order(g.n_vertices, adj) == brute_degeneracy_order(g.n_vertices, adj)
 
 
 class TestEnumerateCompleteTuples:

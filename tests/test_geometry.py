@@ -1,6 +1,7 @@
 """Exact predicate kernel: canonical forms, known values, algebraic laws."""
 
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -51,6 +52,54 @@ class TestCanonicalForms:
             return
         ln = Line.from_coefficients(a, b, c)
         assert Line.from_coefficients(ln.a, ln.b, ln.c) == ln
+
+
+def reference_canonical(a, b, c) -> tuple[int, int, int]:
+    """Fraction-only canonical (a, b, c): clear denominators, reduce, fix sign."""
+    fs = [Fraction(v) for v in (a, b, c)]
+    mult = lcm(*(f.denominator for f in fs))
+    ints = [int(f * mult) for f in fs]
+    g = gcd(*ints)
+    ints = [v // g for v in ints]
+    if ints[0] < 0 or (ints[0] == 0 and ints[1] < 0):
+        ints = [-v for v in ints]
+    return tuple(ints)
+
+
+coefficient = st.one_of(
+    st.integers(-10**6, 10**6),
+    rationals,
+    rationals.map(str),
+    st.integers(-50, 50).map(str))
+
+
+class TestFromCoefficients:
+    @given(coefficient, coefficient, coefficient)
+    @settings(max_examples=300)
+    def test_matches_the_fraction_reference(self, a, b, c):
+        if Fraction(a) == 0 and Fraction(b) == 0:
+            return
+        ln = Line.from_coefficients(a, b, c)
+        assert (ln.a, ln.b, ln.c) == reference_canonical(a, b, c)
+        assert all(type(v) is int for v in (ln.a, ln.b, ln.c))
+
+    @pytest.mark.parametrize("a, b, c", [
+        (6, -4, 10), (-3, 0, 7), (0, -5, 0), (Fraction(1, 2), Fraction(-3, 4), 2),
+        ("2/3", 1, "-5"), (Fraction(4, 2), "6", 8)])
+    def test_known_inputs(self, a, b, c):
+        assert Line.from_coefficients(a, b, c) == Line(*reference_canonical(a, b, c))
+
+    @pytest.mark.parametrize("c", [0, 5, Fraction(1, 3), "7"])
+    def test_zero_normal_rejected(self, c):
+        with pytest.raises(ValueError):
+            Line.from_coefficients(0, 0, c)
+        with pytest.raises(ValueError):
+            Line.from_coefficients(Fraction(0), "0", c)
+
+    @pytest.mark.parametrize("args", [(True, 1, 0), (1, False, 0), (1, 1, True)])
+    def test_bool_rejected(self, args):
+        with pytest.raises(TypeError):
+            Line.from_coefficients(*args)
 
 
 class TestIncident:
@@ -180,6 +229,16 @@ class TestStrictlyBetween:
 
     def test_off_line(self):
         assert not strictly_between(Point(0, 0), Point(2, 2), Point(1, 0))
+
+    @pytest.mark.parametrize("a, b", [
+        (Point(1, 0), Point(1, 4)),
+        (Point(-2, 3), Point(5, 3)),
+        (Point(0, 0), Point(Fraction(3, 2), Fraction(-9, 4)))],
+        ids=["vertical", "horizontal", "sloped"])
+    def test_false_at_both_endpoints(self, a, b):
+        for end in (a, b):
+            assert not strictly_between(a, b, end)
+            assert not strictly_between(b, a, end)
 
     def test_vertical_segment(self):
         assert strictly_between(Point(1, 0), Point(1, 4), Point(1, 3))
