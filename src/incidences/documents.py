@@ -83,8 +83,15 @@ def arrangement_from_document(doc) -> tuple[Arrangement, dict]:
 
 
 def dumps_canonical(obj) -> str:
-    """Byte-stable JSON: sorted keys, two-space indent, trailing newline."""
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """Byte-stable JSON: sorted keys, two-space indent, trailing newline.
+
+    An integer past Python's int-string limit cannot be written, just as it
+    cannot be read; that is raised as DocumentError, before any output.
+    """
+    try:
+        return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    except ValueError as exc:
+        raise DocumentError(f"unwritable JSON: {exc}") from exc
 
 
 def loads_document(text: str) -> dict:

@@ -8,13 +8,14 @@ certify the result.  The search:
   2. picks the cell maximizing the floor-sum  sum_lines floor(|cell on line| / k),
   3. breaks each line's cell points into disjoint runs of k consecutive
      points ("segment lines"), which keeps the output local,
-  4. reads the cell's dual graph off the primal incidence index (a cell
-     point's dual line y = a*x - b is never vertical, so nothing is sheared)
-     and runs the exact clique search for k pairwise-crossing dual lines in
-     general position,
-  5. pulls the dual clique back to k cell points pairwise connected by
-     arrangement lines and attaches a locality certificate: for every pair,
-     the number of arrangement points strictly inside the open connecting
+  4. reads the cell's joined-pair graph off the incidence index (one vertex
+     per cell point, each edge labelled with the arrangement line through its
+     two points, only pairs inside one run on lines holding >= k) and takes
+     the first k-clique with no ``collinear`` triple.  By projective duality
+     this is the dual search for k lines in general position, with no dual
+     built,
+  5. attaches a locality certificate to the k points: for every pair, the
+     number of arrangement points strictly inside the open connecting
      segment is less than k.
 
 Every returned certificate is re-validated from scratch with the exact
@@ -29,8 +30,8 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Mapping
 
-from .arrangement import Arrangement, dualize
-from .cliques import IntersectionGraph, enumerate_complete_tuples
+from .arrangement import Arrangement
+from .cliques import k_cliques
 from .geometry import Point, as_rational, collinear, incident, strictly_between
 from .partition import PartitionCell, PartitionResult, partition
 from .roots import ceil_scaled_pow23, pow43_bounds, sqrt_bounds
@@ -49,11 +50,10 @@ class PipelineConfig:
     ``beta_k`` defaults to c/(2k); the partition parameter becomes
     r = clamp(ceil(beta_k * n^(2/3)), 1, n).  ``multiplicity_threshold``
     defaults to max(ceil(100/c), k); lines holding more cell points than that
-    are not used (dually: over-popular points are dropped).  Lines with fewer
-    than ``rich_threshold_slack`` * sqrt(r) * k incidences are ignored when
-    ranking cells; if that filter leaves every cell with floor-sum zero,
-    ranking falls back to all lines (small instances never qualify as rich in
-    the asymptotic sense).
+    are not used.  Lines with fewer than ``rich_threshold_slack`` * sqrt(r) * k
+    incidences are ignored when ranking cells; if that filter leaves every
+    cell with floor-sum zero, ranking falls back to all lines (small instances
+    never qualify as rich in the asymptotic sense).
     """
 
     k: int
@@ -97,15 +97,6 @@ class RichCellReport:
 
 
 @dataclass(frozen=True)
-class SegmentLine:
-    """k consecutive cell points along one parent line."""
-
-    parent_line: int
-    point_indices: tuple[int, ...]
-    endpoints: tuple[Point, Point]
-
-
-@dataclass(frozen=True)
 class CompleteTupleCertificate:
     """k points in general position, pairwise joined by arrangement lines.
 
@@ -125,6 +116,13 @@ class CompleteTupleCertificate:
 
 @dataclass(frozen=True)
 class CellAttempt:
+    """Statistics of one searched cell.
+
+    ``dual_edges`` counts the edges of the cell's joined-pair graph (pairs of
+    cell points joined by a usable line); the name is kept, as is the report
+    key, so that reports stay byte-stable.
+    """
+
     cell_index: int
     floor_sum: int
     pairable_lines: int
@@ -194,19 +192,6 @@ def _cell_points_by_line(arr: Arrangement, cell: PartitionCell) -> dict[int, lis
     return out
 
 
-def break_into_segments(arr: Arrangement, cell: PartitionCell, k: int) -> list[SegmentLine]:
-    """Disjoint runs of exactly k consecutive cell points per line.
-
-    A line with s = floor(|cell points on line| / k) >= 1 yields s segments;
-    the trailing remainder of fewer than k points is dropped.  Segments from
-    one parent line share no points and appear in order along the line.
-    """
-    if k < 3:
-        raise ValueError("k must be >= 3")
-    return [SegmentLine(li, run, (arr.points[run[0]], arr.points[run[-1]]))
-            for li, runs in _runs(_cell_points_by_line(arr, cell), k).items() for run in runs]
-
-
 def _runs(by_line: dict[int, list[int]], k: int) -> dict[int, list[tuple[int, ...]]]:
     """line -> its runs of k consecutive cell points, for lines holding >= k of them."""
     return {li: [tuple(members[g * k:(g + 1) * k]) for g in range(len(members) // k)]
@@ -268,50 +253,52 @@ def revalidate_certificate(arr: Arrangement, cert: CompleteTupleCertificate) -> 
             raise CertificateError(f"locality of {(pi, pj)} not below k")
 
 
+def _first_general_position_clique(points: list[Point], edges: Mapping[tuple[int, int], int],
+                                   k: int) -> tuple[int, ...] | None:
+    """The first k-clique in ``k_cliques`` order whose points have no collinear triple."""
+    for clique in k_cliques(len(points), edges, k):
+        if not any(collinear(points[a], points[b], points[c])
+                   for a, b, c in combinations(clique, 3)):
+            return clique
+    return None
+
+
 def _attempt_cell(arr: Arrangement, cell: PartitionCell, cell_index: int,
                   floor_sum: int, cfg: PipelineConfig, r: int
                   ) -> tuple[CompleteTupleCertificate | None, CellAttempt]:
-    """Run the dual clique search inside one cell, read off the primal index.
+    """Search one cell's joined-pair graph for k points in general position.
 
-    Vertex i is the i-th cell point in index order (dually, the never-vertical
-    line y = a*x - b); edge (i, j) is labelled w, the position in
-    ``sorted(by_line)`` of the line through both (dually, their crossing).
-    Lines holding more than ``multiplicity_threshold`` cell points are not
-    used; on a line holding >= k, only pairs inside one k-point run are, which
-    keeps the final tuple local.
+    Vertex i is the i-th cell point in index order; edge (i, j) is labelled
+    with the index of the arrangement line through both.  Lines holding more
+    than ``multiplicity_threshold`` cell points are not used; on a line
+    holding >= k, only pairs inside one k-point run are, which keeps the
+    final tuple local.  The first clique with no ``collinear`` triple wins:
+    three points are collinear exactly when their dual lines fail
+    ``degenerate_filter``, so this is the dual line search done in the primal.
     """
     by_line = _cell_points_by_line(arr, cell)
     runs_on = _runs(by_line, cfg.k)
     segment_count = sum(len(runs) for runs in runs_on.values())
-    sub_line_idx = sorted(by_line)
-    if not sub_line_idx:
-        return None, CellAttempt(cell_index, floor_sum, 0, 0, 0, False)
     sub_point_idx = sorted(cell.point_indices)
     vertex = {pi: i for i, pi in enumerate(sub_point_idx)}
-    mult = {w: len(by_line[li]) for w, li in enumerate(sub_line_idx)}
-    kept = frozenset(w for w, m in mult.items() if m <= cfg.multiplicity_threshold)
     edges: dict[tuple[int, int], int] = {}
-    for w in sorted(kept):
-        li = sub_line_idx[w]
-        for group in runs_on.get(li, [by_line[li]]):
+    for li, members in by_line.items():
+        if len(members) > cfg.multiplicity_threshold:
+            continue
+        for group in runs_on.get(li, [members]):
             for u, v in combinations(sorted(vertex[pi] for pi in group), 2):
                 assert (u, v) not in edges, "two distinct lines crossing twice"
-                edges[u, v] = w
-    g = IntersectionGraph(len(sub_point_idx), edges, mult, kept)
-    dual = dualize(Arrangement([arr.points[pi] for pi in sub_point_idx], []))
+                edges[u, v] = li
 
-    found = enumerate_complete_tuples(g, dual, cfg.k, max_results=1)
-    attempt = CellAttempt(cell_index, floor_sum, len(sub_line_idx), segment_count,
-                          len(edges), bool(found))
-    if not found:
+    clique = _first_general_position_clique([arr.points[pi] for pi in sub_point_idx],
+                                            edges, cfg.k)
+    attempt = CellAttempt(cell_index, floor_sum, len(by_line), segment_count,
+                          len(edges), clique is not None)
+    if clique is None:
         return None, attempt
-    tup = found[0]
-    point_indices = tuple(sorted(sub_point_idx[pos] for pos in tup.line_indices))
-    connecting: dict[tuple[int, int], int] = {}
-    for (u, v), w in tup.witness_points.items():
-        pu, pv = sub_point_idx[u], sub_point_idx[v]
-        pair = (pu, pv) if pu < pv else (pv, pu)
-        connecting[pair] = sub_line_idx[w]
+    point_indices = tuple(sub_point_idx[v] for v in clique)
+    connecting = {(sub_point_idx[u], sub_point_idx[v]): edges[u, v]
+                  for u, v in combinations(clique, 2)}
     by_position = locality_counts(arr, [arr.points[i] for i in point_indices])
     locality = {(point_indices[i], point_indices[j]): cnt
                 for (i, j), cnt in by_position.items()}

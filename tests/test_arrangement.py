@@ -1,4 +1,4 @@
-"""Arrangement model, generators, incidence engine, rich lines, duality."""
+"""Arrangement model, generators, incidence engine, duality."""
 
 import random
 from fractions import Fraction
@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from incidences import (Arrangement, FewerThanTwoPointsError, Line, Point,
                         VerticalLinePresentError, dualize,
                         generic_shear_value, grid_construction, incidence_stats,
-                        line_through, measured_density, rich_lines, shear,
+                        line_through, measured_density, shear,
                         spanned_lines, st_bound_report)
 from conftest import brute_incidences, random_nonvertical_arrangement
 
@@ -129,22 +129,6 @@ class TestGridConstruction:
     def test_invalid_n(self):
         with pytest.raises(ValueError):
             grid_construction(0)
-
-
-class TestRichLines:
-    def test_grid3x3_spanned_m3(self, grid3x3):
-        # 3 rows + 3 columns + 2 main diagonals
-        assert len(rich_lines(grid3x3, 3)) == 8
-
-    def test_m1_is_all_incident_lines(self, grid3x3):
-        assert rich_lines(grid3x3, 1) == set(range(grid3x3.n_lines))
-
-    def test_grid_above_exact_richness_empty(self):
-        assert rich_lines(grid_construction(3), 4) == set()
-
-    def test_antitone_in_m(self, grid3x3):
-        for m in range(1, 5):
-            assert rich_lines(grid3x3, m + 1) <= rich_lines(grid3x3, m)
 
 
 class TestSpannedLines:

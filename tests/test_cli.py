@@ -3,6 +3,7 @@
 import copy
 import json
 import os
+import random
 import stat
 import tempfile
 from fractions import Fraction
@@ -17,6 +18,14 @@ from incidences.documents import (DocumentError, arrangement_from_document,
                                   arrangement_to_document, dumps_canonical,
                                   loads_document, pair_to_rational,
                                   rational_to_pair)
+
+
+def huge_coordinate_points():
+    """Three points with 3900-4000-digit coordinates: readable as a document,
+    but the lines they span have coefficients past the int-string limit."""
+    rng = random.Random(0)
+    points = [[[rng.randrange(10**3899, 10**4000), 1] for _ in "xy"] for _ in range(3)]
+    return json.dumps({"schema_version": "1", "points": points, "lines": []})
 
 
 def write_doc(path, arr, metadata=None):
@@ -253,12 +262,15 @@ class TestArgumentErrors:
         (["analyze"], "[" * 100000),
         (["generate", "--kind", "spanned"],
          dumps_canonical(arrangement_to_document(Arrangement([Point(0, 0)], [])))),
-    ], ids=["5001-digit-numerator", "deep-nesting", "spanned-one-point"])
+        (["generate", "--kind", "spanned"], huge_coordinate_points()),
+    ], ids=["5001-digit-numerator", "deep-nesting", "spanned-one-point",
+            "spanned-output-past-digit-limit"])
     def test_rejected_input_exits_2(self, tmp_path, capsys, command, text):
         doc = tmp_path / "in.json"
         doc.write_text(text)
         assert main(command + ["--input", str(doc), "--output", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err.startswith("error:")
+        assert os.listdir(tmp_path) == ["in.json"]   # no report, no temp file
 
 
 class TestAtomicWrite:

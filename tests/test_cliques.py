@@ -1,19 +1,19 @@
-"""Intersection graph, complete-tuple enumeration, triangles, decompositions."""
+"""Intersection graph, clique and complete-tuple enumeration, triangles."""
 
 import random
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
 from incidences import (Arrangement, Line, PipelineConfig, Point, build_graph,
-                        count_triangles, de_caen_szekely_monitor,
-                        degenerate_filter, dualize,
-                        edge_disjoint_decomposition_stats,
-                        enumerate_complete_tuples, find_complete_tuple,
-                        grid_construction, intersection, measured_density,
-                        multiplicity_filter, pipeline, point_multiplicities)
+                        collinear, count_triangles, de_caen_szekely_monitor,
+                        degenerate_filter, dualize, enumerate_complete_tuples,
+                        find_complete_tuple, grid_construction, intersection,
+                        measured_density, multiplicity_filter, pipeline,
+                        point_multiplicities)
 from incidences.cli import random_arrangement
-from incidences.cliques import _degeneracy_order
+from incidences.cliques import _degeneracy_order, k_cliques
 from conftest import (brute_complete_line_tuples, brute_degeneracy_order,
                       brute_triangles, random_nonvertical_arrangement)
 
@@ -93,6 +93,63 @@ class TestDegenerateFilter:
         with pytest.raises(ValueError):
             degenerate_filter([Line(1, 0, 0), Line(1, 0, 0), Line(0, 1, 0)])
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_rejects_exactly_the_duals_of_collinear_points(self, seed):
+        """Three points are collinear iff their dual lines are concurrent or
+        parallel; the theorem1 search relies on this to stay in the primal."""
+        rng = random.Random(seed)
+
+        def coord():
+            return Fraction(rng.randint(-6, 6), rng.randint(1, 3))
+
+        seen = set()
+        for _ in range(300):
+            p, q, r = (Point(coord(), coord()) for _ in range(3))
+            kind = rng.choice(("vertical", "horizontal", "one-vertical-pair", "on-pq", "any"))
+            if kind == "vertical":        # three parallel dual lines
+                q, r = Point(p.x, q.y), Point(p.x, r.y)
+            elif kind == "horizontal":    # three dual lines through one point on the y-axis
+                q, r = Point(q.x, p.y), Point(r.x, p.y)
+            elif kind == "one-vertical-pair":
+                q = Point(p.x, q.y)
+            elif kind == "on-pq":
+                t = coord()
+                r = Point(p.x + t * (q.x - p.x), p.y + t * (q.y - p.y))
+            if len({p, q, r}) < 3:
+                continue
+            dual_lines = dualize(Arrangement([p, q, r], [])).lines
+            on_one_line = collinear(p, q, r)
+            assert on_one_line == (not degenerate_filter(dual_lines))
+            seen.add((kind, on_one_line))
+        assert {("vertical", True), ("horizontal", True), ("one-vertical-pair", False),
+                ("on-pq", True), ("any", False)} <= seen
+
+
+class TestKCliques:
+    @pytest.mark.parametrize("seed", range(30))
+    def test_every_clique_in_degeneracy_rank_order(self, seed):
+        """The full output is every k-subset that is a clique, listed in
+        lexicographic order of degeneracy ranks; this pins which clique a
+        search finds first."""
+        rng = random.Random(seed)
+        n = rng.randint(0, 25)
+        k = rng.randint(3, 5)
+        isolated = set(rng.sample(range(n), n // 5))
+        p = rng.choice((0.5, 0.7, 0.9))
+        edges = [(u, v) if rng.random() < 0.5 else (v, u)
+                 for u, v in combinations(range(n), 2)
+                 if u not in isolated and v not in isolated and rng.random() < p]
+        rng.shuffle(edges)
+        adj = [set() for _ in range(n)]
+        for u, v in edges:
+            adj[u].add(v)
+            adj[v].add(u)
+        order = brute_degeneracy_order(n, adj)
+        expected = [tuple(sorted(order[r] for r in ranks))
+                    for ranks in combinations(range(n), k)
+                    if all(order[b] in adj[order[a]] for a, b in combinations(ranks, 2))]
+        assert list(k_cliques(n, edges, k)) == expected
+
 
 class TestDegeneracyOrder:
     """The bucket queue against the min-scan ``brute_degeneracy_order``."""
@@ -112,19 +169,22 @@ class TestDegeneracyOrder:
 
     def test_matches_the_min_scan_on_a_grid6_cell(self, monkeypatch):
         graphs = []
-        real = pipeline.enumerate_complete_tuples
+        real = pipeline._first_general_position_clique
 
-        def spy(g, dual, k, max_results=None):
-            graphs.append(g)
-            return real(g, dual, k, max_results=max_results)
-        monkeypatch.setattr(pipeline, "enumerate_complete_tuples", spy)
+        def spy(points, edges, k):
+            graphs.append((len(points), edges))
+            return real(points, edges, k)
+        monkeypatch.setattr(pipeline, "_first_general_position_clique", spy)
         arr = grid_construction(6)
         find_complete_tuple(arr, PipelineConfig(k=4, c=measured_density(arr)))
-        g = graphs[0]
-        adj = g.adjacency()
+        n, edges = graphs[0]
+        adj = [set() for _ in range(n)]
+        for u, v in edges:
+            adj[u].add(v)
+            adj[v].add(u)
         degrees = [len(a) for a in adj]
-        assert g.n_vertices > 20 and len(set(degrees)) < len(degrees) and 0 in degrees
-        assert _degeneracy_order(g.n_vertices, adj) == brute_degeneracy_order(g.n_vertices, adj)
+        assert n > 20 and len(set(degrees)) < len(degrees) and 0 in degrees
+        assert _degeneracy_order(n, adj) == brute_degeneracy_order(n, adj)
 
 
 class TestEnumerateCompleteTuples:
@@ -228,40 +288,3 @@ class TestMonitor:
         result = de_caen_szekely_monitor(arr)
         assert result.triangles == brute_triangles(arr)
         assert result.bound == 128
-
-
-class TestDecomposition:
-    def test_two_disjoint_k3_sources(self):
-        # Two points, each on three of six pairwise-distinct lines.
-        p, q = Point(0, 0), Point(5, 0)
-        lines = [Line.from_slope_intercept(m, 0) for m in (1, 2, 3)]
-        lines += [Line.from_coefficients(m, -1, -5 * m) for m in (1, 2, 3)]  # through (5, 0)
-        arr = Arrangement([p, q], lines)
-        g = build_graph(arr, {0, 1})
-        stats = edge_disjoint_decomposition_stats(g, 3)
-        assert stats.num_source_cliques == 2
-        assert stats.edges_covered == 6
-        assert stats.is_edge_disjoint
-        assert stats.skipped_points == 0
-
-    def test_low_multiplicity_points_are_skipped(self):
-        arr = grid_construction(2)  # every point has multiplicity <= 2
-        g = build_graph(arr, set(range(arr.n_points)))
-        stats = edge_disjoint_decomposition_stats(g, 3)
-        assert stats.num_source_cliques == 0
-        assert stats.skipped_points == arr.n_points
-
-    def test_k_below_three_reported_not_raised(self):
-        arr = grid_construction(2)
-        g = build_graph(arr, set(range(arr.n_points)))
-        stats = edge_disjoint_decomposition_stats(g, 2)
-        assert stats.num_source_cliques == 0
-        assert stats.skipped_points == arr.n_points
-        assert stats.is_edge_disjoint
-
-    def test_pencil_contributes_one_clique(self, concurrent_pencil):
-        g = build_graph(concurrent_pencil, multiplicity_filter(concurrent_pencil, 20))
-        stats = edge_disjoint_decomposition_stats(g, 5)
-        assert stats.num_source_cliques == 1
-        assert stats.edges_covered == 10  # C(5,2) on the first five lines
-        assert stats.is_edge_disjoint

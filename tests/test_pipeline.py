@@ -7,13 +7,12 @@ from itertools import combinations
 import pytest
 
 from incidences import (Arrangement, CompleteTupleCertificate, Line,
-                        NotFoundReport, PipelineConfig, Point,
-                        break_into_segments, build_graph, collinear, dualize,
-                        find_complete_tuple, generic_shear_value,
-                        grid_construction, incident, inequality_audit,
-                        locality_counts, measured_density, multiplicity_filter,
-                        partition, rank_cells, revalidate_certificate, shear,
-                        spanned_lines)
+                        NotFoundReport, PipelineConfig, Point, build_graph,
+                        collinear, dualize, find_complete_tuple,
+                        generic_shear_value, grid_construction, incident,
+                        inequality_audit, locality_counts, measured_density,
+                        multiplicity_filter, partition, rank_cells,
+                        revalidate_certificate, shear, spanned_lines)
 from incidences import pipeline
 from conftest import pair_joined
 
@@ -93,34 +92,36 @@ class TestSelectRichCell:
 
 
 class TestBreakIntoSegments:
-    def _cell_with(self, arr):
-        return partition(arr.points, 1).cells[0]
+    """The k-point runs of one cell, as ``_attempt_cell`` builds them."""
+
+    def _runs(self, arr, k):
+        cell = partition(arr.points, 1).cells[0]
+        return pipeline._runs(pipeline._cell_points_by_line(arr, cell), k)
 
     def test_exactly_k_points_one_segment(self):
         pts = [Point(x, 0) for x in range(3)]
         arr = Arrangement(pts, [Line(0, 1, 0)])
-        segs = break_into_segments(arr, self._cell_with(arr), 3)
-        assert len(segs) == 1
-        assert segs[0].point_indices == (0, 1, 2)
-        assert segs[0].endpoints == (Point(0, 0), Point(2, 0))
+        runs = self._runs(arr, 3)
+        assert runs == {0: [(0, 1, 2)]}
+        run = runs[0][0]
+        assert (arr.points[run[0]], arr.points[run[-1]]) == (Point(0, 0), Point(2, 0))
 
     def test_seven_points_two_segments_remainder_dropped(self):
         pts = [Point(x, 2 * x) for x in range(7)]
         arr = Arrangement(pts, [Line(2, -1, 0)])
-        segs = break_into_segments(arr, self._cell_with(arr), 3)
-        assert [s.point_indices for s in segs] == [(0, 1, 2), (3, 4, 5)]
-        assert not set(segs[0].point_indices) & set(segs[1].point_indices)
+        runs = self._runs(arr, 3)[0]
+        assert runs == [(0, 1, 2), (3, 4, 5)]
+        assert not set(runs[0]) & set(runs[1])
 
     def test_too_few_points_no_segment(self):
         pts = [Point(0, 0), Point(1, 0)]
         arr = Arrangement(pts, [Line(0, 1, 0)])
-        assert break_into_segments(arr, self._cell_with(arr), 3) == []
+        assert self._runs(arr, 3) == {}
 
     def test_segments_ordered_along_line(self):
         pts = [Point(x, 0) for x in (5, 1, 3, 0, 2, 4)]
         arr = Arrangement(pts, [Line(0, 1, 0)])
-        segs = break_into_segments(arr, self._cell_with(arr), 3)
-        xs = [[arr.points[i].x for i in s.point_indices] for s in segs]
+        xs = [[arr.points[i].x for i in run] for run in self._runs(arr, 3)[0]]
         assert xs == [[0, 1, 2], [3, 4, 5]]
 
 
@@ -254,27 +255,27 @@ class TestSearchSharesLibrarySteps:
         (spanned_lines([(x, y) for x in range(5) for y in range(10)]), 3, 3, True),
     ], ids=["grid4-k3", "grid5-k5", "lattice5-k3", "lattice5x10-k3-threshold3"])
     def test_kept_dual_edges_stay_inside_one_run(self, monkeypatch, arr, k, threshold, sheared):
-        """The searched graph is, label for label, the one built by dualizing the
-        cell sub-arrangement (sheared if a line is vertical), filtering it by
-        multiplicity and keeping only pairs inside one k-point segment run.
-        Each kept dual edge joins two points of one run, or lies on a line
-        holding fewer than k cell points."""
+        """The searched joined-pair graph is, edge for edge, the one built by
+        dualizing the cell sub-arrangement (sheared if a line is vertical),
+        filtering it by multiplicity and keeping only pairs inside one k-point
+        segment run; each edge carries the arrangement line whose dual point
+        labels that edge.  Each kept edge joins two points of one run, or lies
+        on a line holding fewer than k cell points."""
         searched = []
-        real = pipeline.enumerate_complete_tuples
+        real = pipeline._first_general_position_clique
 
-        def spy(g, dual, k, max_results=None):
-            searched.append((g, dual))
-            return real(g, dual, k, max_results=max_results)
-        monkeypatch.setattr(pipeline, "enumerate_complete_tuples", spy)
+        def spy(points, edges, k):
+            searched.append((points, edges))
+            return real(points, edges, k)
+        monkeypatch.setattr(pipeline, "_first_general_position_clique", spy)
 
         cfg = PipelineConfig(k=k, c=measured_density(arr), multiplicity_threshold=threshold)
         result = find_complete_tuple(arr, cfg)
         pr = partition(arr.points, result.r)
         point_index = {p: i for i, p in enumerate(arr.points)}
         shears, cut, on_runs = [], 0, 0
-        for g, dual in searched:
-            # Duality is an involution: the dual's lines give back the cell.
-            pts = [point_index[p] for p in dualize(dual).points]
+        for points, edges in searched:
+            pts = [point_index[p] for p in points]
             cell_points = set(pts)
             cell = next(c for c in pr.cells if set(c.point_indices) == cell_points)
             on_cell = {li: sum(1 for i in arr.points_on_line(li) if i in cell_points)
@@ -285,16 +286,15 @@ class TestSearchSharesLibrarySteps:
             ref_dual = dualize(shear(sub, shears[-1]) if shears[-1] else sub)
             ref = build_graph(ref_dual, multiplicity_filter(ref_dual, cfg.multiplicity_threshold))
             cut += len(lines) - len(ref.kept_points)
-            run_of = {(seg.parent_line, i): n
-                      for n, seg in enumerate(break_into_segments(arr, cell, k))
-                      for i in seg.point_indices}
-            expected = {(u, v): w for (u, v), w in ref.edges.items()
+            runs_on = pipeline._runs(pipeline._cell_points_by_line(arr, cell), k)
+            run_of = {(li, i): (li, n) for li, runs in runs_on.items()
+                      for n, run in enumerate(runs) for i in run}
+            expected = {(u, v): lines[w] for (u, v), w in ref.edges.items()
                         if on_cell[lines[w]] < k or (run_of.get((lines[w], pts[u])) is not None
                                                      and run_of[lines[w], pts[u]]
                                                      == run_of.get((lines[w], pts[v])))}
-            assert dict(g.edges) == expected
-            for (u, v), w in g.edges.items():
-                li = lines[w]
+            assert dict(edges) == expected
+            for (u, v), li in edges.items():
                 assert incident(arr.points[pts[u]], arr.lines[li])
                 assert incident(arr.points[pts[v]], arr.lines[li])
                 if on_cell[li] >= k:
