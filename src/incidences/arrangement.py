@@ -2,17 +2,20 @@
 
 An :class:`Arrangement` is an indexed point set plus an indexed line set with
 a lazily materialized, cached incidence relation.  The incidence engine is a
-hashed, int-only build: point coordinates are cleared of denominators once,
-the points are indexed by column, and each non-vertical line is solved at
-every column, so no (point, line) pair is scanned.  The independent oracle is
-the pairwise scan ``brute_incidences`` in ``tests/conftest.py``.
+hashed, int-only build: point coordinates are cleared of denominators once
+and the points are indexed by column.  A non-vertical line can hold a point
+only at the columns of one residue class (see :func:`_residue_walk`); it
+walks that arithmetic progression when it has fewer terms than there are
+columns, and otherwise solves for Y at every column, so no (point, line) pair
+is scanned.  The independent oracle is the pairwise scan ``brute_incidences``
+in ``tests/conftest.py``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .geometry import Line, Point, as_rational, line_through
 from .roots import RATIONAL_SCALE, icbrt
@@ -60,7 +63,11 @@ class Arrangement:
         With d the lcm of all coordinate denominators, point (x, y) becomes
         the integer pair (X, Y) = (d*x, d*y) and line (a, b, c) holds it iff
         a*X + b*Y + c*d == 0.  The points are indexed by column X.  A vertical
-        line is one column lookup; any other line is solved for Y at each
+        line is one column lookup.  Any other line has an integer Y only at
+        the columns of one residue class mod |b| / gcd(a, b): when that
+        progression over [min X, max X] has fewer terms than there are
+        columns, it is walked with one dict lookup per term; otherwise (a grid
+        line has |b| = 1, hence every X) the line is solved for Y at each
         column, and a divisibility test plus a dict lookup finds the point.
         """
         if self._incidences is None:
@@ -69,6 +76,10 @@ class Arrangement:
             for i, p in enumerate(self.points):
                 column.setdefault(int(p.x * d), {})[int(p.y * d)] = i
             columns = list(column.items())
+            lo, hi = min(column, default=0), max(column, default=0)
+            # The progression's modulus is at most |b|, so a line with
+            # |b| <= limit has at least as many terms as there are columns.
+            limit = max(1, (hi - lo) // max(len(columns), 1))
             pairs: list[tuple[int, int]] = []
             for j, ln in enumerate(self.lines):
                 a, b, cd = ln.a, ln.b, ln.c * d
@@ -76,14 +87,24 @@ class Arrangement:
                     # a*X + cd == 0: one whole column.
                     on = column.get(-cd // a, {}).values() if cd % a == 0 else ()
                 else:
-                    # Solve b*Y = -(a*X + cd) at each column X.
+                    walk = _residue_walk(a, b, cd, lo, hi, len(columns)) if abs(b) > limit else None
                     on = []
-                    for x, ys in columns:
-                        t = a * x + cd
-                        if t % b == 0:
-                            i = ys.get(-t // b)
-                            if i is not None:
-                                on.append(i)
+                    if walk is None:
+                        # Solve b*Y = -(a*X + cd) at each column X.
+                        for x, ys in columns:
+                            t = a * x + cd
+                            if t % b == 0:
+                                i = ys.get(-t // b)
+                                if i is not None:
+                                    on.append(i)
+                    else:
+                        # b divides a*X + cd at every term of the walk.
+                        for x in walk:
+                            ys = column.get(x)
+                            if ys is not None:
+                                i = ys.get(-(a * x + cd) // b)
+                                if i is not None:
+                                    on.append(i)
                 pairs.extend((i, j) for i in sorted(on))
             self._incidences = tuple(pairs)
         return self._incidences
@@ -110,6 +131,26 @@ class Arrangement:
         if self._lines_through_point is None:
             self._build_index()
         return self._lines_through_point[point_index]
+
+
+def _residue_walk(a: int, b: int, cd: int, lo: int, hi: int, n_columns: int) -> range | None:
+    """The columns X in [lo, hi] at which a*X + b*Y + cd == 0 (b != 0) has an integer Y.
+
+    b*Y = -(a*X + cd) is solvable exactly when a*X + cd == 0 mod |b|: with
+    g = gcd(a, b), that needs g | cd, and then X runs over one residue class
+    mod m = |b| / g.  Returns that progression, empty when g does not divide
+    cd, or None when it has at least ``n_columns`` terms, so that scanning
+    the occupied columns is no more work than walking it.
+    """
+    g = gcd(a, b)
+    if cd % g:
+        return range(0)
+    m = abs(b) // g
+    first = lo + (-(cd // g) * pow(a // g, -1, m) - lo) % m
+    # The term count, computed here because len() of a range fails past sys.maxsize.
+    if (hi - first) // m + 1 >= n_columns:
+        return None
+    return range(first, hi + 1, m)
 
 
 def grid_construction(n: int) -> Arrangement:

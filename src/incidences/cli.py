@@ -229,7 +229,13 @@ def cmd_partition(args) -> int:
     pr = partition(arr.points, args.r)
     profile = crossing_profile(pr, arr.lines)
     if args.svg:
-        _write_text(args.svg, _partition_svg(arr, pr))
+        try:
+            svg = _partition_svg(arr, pr)
+        except (OverflowError, ZeroDivisionError) as exc:
+            # Past the float range, or so large that the 5% margin vanishes in
+            # float rounding and the plot has zero width or height.
+            raise InvalidParamsError("--svg: coordinates too large to plot") from exc
+        _write_text(args.svg, svg)
     if args.format == "csv":
         lines = ["line_index,cells_crossed"]
         lines.extend(f"{j},{c}" for j, c in enumerate(profile.per_line))

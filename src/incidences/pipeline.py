@@ -198,18 +198,22 @@ def _runs(by_line: dict[int, list[int]], k: int) -> dict[int, list[tuple[int, ..
             for li, members in by_line.items() if len(members) >= k}
 
 
-def locality_counts(arr: Arrangement, points: list[Point]) -> dict[tuple[int, int], int]:
-    """For each pair (by list position), arrangement points strictly between them.
+def locality_counts(arr: Arrangement,
+                    connecting: Mapping[tuple[int, int], int]) -> dict[tuple[int, int], int]:
+    """For each point-index pair, the arrangement points strictly between them.
 
-    The segment is open, so ``strictly_between`` already rejects both endpoints.
+    ``connecting`` maps each pair to the index of an arrangement line through
+    both points.  A point strictly inside the segment lies on that line, so
+    only the line's points are scanned; the segment is open, so
+    ``strictly_between`` already rejects both endpoints.
     """
-    if len(set(points)) != len(points):
-        raise ValueError("points must be distinct")
     out: dict[tuple[int, int], int] = {}
-    for i in range(len(points)):
-        for j in range(i + 1, len(points)):
-            between = sum(1 for q in arr.points if strictly_between(points[i], points[j], q))
-            out[(i, j)] = between
+    for (i, j), li in connecting.items():
+        if i == j:
+            raise ValueError("points must be distinct")
+        p, q = arr.points[i], arr.points[j]
+        out[(i, j)] = sum(1 for z in arr.points_on_line(li)
+                          if strictly_between(p, q, arr.points[z]))
     return out
 
 
@@ -299,10 +303,8 @@ def _attempt_cell(arr: Arrangement, cell: PartitionCell, cell_index: int,
     point_indices = tuple(sub_point_idx[v] for v in clique)
     connecting = {(sub_point_idx[u], sub_point_idx[v]): edges[u, v]
                   for u, v in combinations(clique, 2)}
-    by_position = locality_counts(arr, [arr.points[i] for i in point_indices])
-    locality = {(point_indices[i], point_indices[j]): cnt
-                for (i, j), cnt in by_position.items()}
-    cert = CompleteTupleCertificate(cfg.k, point_indices, connecting, locality, cell_index, r)
+    cert = CompleteTupleCertificate(cfg.k, point_indices, connecting,
+                                    locality_counts(arr, connecting), cell_index, r)
     revalidate_certificate(arr, cert)
     return cert, attempt
 

@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +13,8 @@ from incidences import (Arrangement, FewerThanTwoPointsError, Line, Point,
                         generic_shear_value, grid_construction, incidence_stats,
                         line_through, measured_density, shear,
                         spanned_lines, st_bound_report)
+from incidences import arrangement
+from incidences.arrangement import _residue_walk
 from conftest import brute_incidences, random_nonvertical_arrangement
 
 
@@ -71,18 +73,77 @@ def mixed_arrangement(seed: int, n_columns: int, n_rows: int) -> Arrangement:
     return Arrangement(points, lines)
 
 
+def spread_arrangement(seed: int) -> Arrangement:
+    """40 points with columns spread over [0, 10^6] and denominators 1, 2, 3
+    and 16, every line they span, and lines that the residue-class walk must
+    get right: horizontal ones, ones through a single point or none, and a
+    line 7a*x + 7b*y + c = 0 whose gcd 7 does not divide c*d (d = 48), next
+    to a point that solves it when c*d/7 is rounded down."""
+    rng = random.Random(seed)
+
+    def value(i):
+        den = (1, 2, 3, 16)[i % 4]
+        num = rng.randint(0, 10**6 * den)
+        while gcd(num, den) != 1:
+            num += 1
+        return Fraction(num, den)
+
+    points = list(dict.fromkeys(Point(value(i), value(i + 1)) for i in range(40)))
+    lines = dict.fromkeys(line_through(p, q) for i, p in enumerate(points) for q in points[i + 1:])
+    for p in points[:3]:
+        # Through p alone, with |b| near 10^7: few columns in its residue class.
+        a, b = rng.randint(1, 10**3), -rng.randint(10**7, 2 * 10**7)
+        lines[Line.from_coefficients(a, b, -(a * p.x + b * p.y))] = None
+        lines[Line.from_coefficients(0, 1, -p.y)] = None
+    lines[Line.from_coefficients(0, 1, Fraction(-1, 5))] = None
+    for _ in range(3):
+        lines[Line.from_coefficients(rng.randint(1, 10**3), rng.randint(10**7, 2 * 10**7),
+                                     rng.randint(-10**9, 10**9))] = None
+    a, b = rng.randint(1, 10**3), -rng.randint(5 * 10**6, 10**7)
+    while gcd(a, b) != 1:
+        a += 1
+    c = rng.choice([1, 2, 3, 4, 5, 6]) + 7 * rng.randint(-10**6, 10**6)
+    c_floor = 48 * c // 7
+    x = -c_floor * pow(a, -1, -b) % -b
+    points.append(Point(Fraction(x, 48), Fraction(-(a * x + c_floor) // b, 48)))
+    lines[Line(7 * a, 7 * b, c)] = None
+    return Arrangement(points, lines)
+
+
+WALK_INPUTS = {
+    **{f"walk-spread-{seed}": (lambda seed=seed: spread_arrangement(seed)) for seed in range(3)},
+    "walk-lattice7": lambda: spanned_lines([Point(x, y) for x in range(7) for y in range(7)]),
+}
+
+
 def by_line_then_point(pairs):
     return sorted(pairs, key=lambda ij: (ij[1], ij[0]))
+
+
+def spy_on_the_walk(monkeypatch) -> dict:
+    """Record (a, b, c*d) -> the progression ``_residue_walk`` returned."""
+    calls = {}
+
+    def spy(a, b, cd, lo, hi, n_columns):
+        calls[a, b, cd] = _residue_walk(a, b, cd, lo, hi, n_columns)
+        return calls[a, b, cd]
+    monkeypatch.setattr(arrangement, "_residue_walk", spy)
+    return calls
 
 
 class TestHashedIncidences:
     """The hashed build against the pairwise scan ``brute_incidences``."""
 
-    @pytest.mark.parametrize("seed", range(6))
-    @pytest.mark.parametrize("n_columns, n_rows", [(4, 15), (15, 4)],
-                             ids=["fewer-columns", "fewer-rows"])
-    def test_matches_the_pairwise_scan(self, seed, n_columns, n_rows):
-        arr = mixed_arrangement(seed, n_columns, n_rows)
+    @pytest.mark.parametrize("case", [
+        *(f"fewer-{side}-{seed}" for side in ("columns", "rows") for seed in range(6)),
+        *WALK_INPUTS])
+    def test_matches_the_pairwise_scan(self, case, monkeypatch):
+        if case in WALK_INPUTS:
+            self.check_a_walked_input(WALK_INPUTS[case](), monkeypatch)
+            return
+        side, seed = case.split("-")[1:]
+        n_columns, n_rows = (4, 15) if side == "columns" else (15, 4)
+        arr = mixed_arrangement(int(seed), n_columns, n_rows)
         assert list(arr.incidences) == by_line_then_point(brute_incidences(arr))
         columns = {p.x for p in arr.points}
         rows = {p.y for p in arr.points}
@@ -94,6 +155,26 @@ class TestHashedIncidences:
                   cnt > 0) for ln, cnt in zip(arr.lines, counts)}
         assert kinds == {(kind, hit) for kind in ("vertical", "horizontal", "sloped")
                          for hit in (True, False)}
+
+    @staticmethod
+    def check_a_walked_input(arr, monkeypatch):
+        walks = spy_on_the_walk(monkeypatch)
+        assert list(arr.incidences) == by_line_then_point(brute_incidences(arr))
+        d = lcm(*(Fraction(v).denominator for p in arr.points for v in (p.x, p.y)))
+        counts = [len(arr.points_on_line(j)) for j in range(arr.n_lines)]
+        walked = [(ln, cnt) for ln, cnt in zip(arr.lines, counts)
+                  if walks.get((ln.a, ln.b, ln.c * d)) is not None]
+        assert {ln.a * ln.b > 0 for ln, cnt in walked if cnt} == {True, False}
+        if d == 1:
+            return
+        assert {min(cnt, 2) for _, cnt in walked} == {0, 1, 2}
+        xs = [p.x for p in arr.points]
+        assert max(xs) - min(xs) > 9 * 10**5
+        assert {2, 3, 16} <= {Fraction(v).denominator for p in arr.points for v in (p.x, p.y)}
+        assert {cnt > 0 for ln, cnt in zip(arr.lines, counts) if ln.a == 0} == {True, False}
+        unsolvable = [ln for ln, _ in walked
+                      if gcd(ln.a, ln.b) > 1 and ln.c * d % gcd(ln.a, ln.b)]
+        assert unsolvable and all(walks[ln.a, ln.b, ln.c * d] == range(0) for ln in unsolvable)
 
     def test_fractional_point_on_an_integral_line(self):
         # 16x - y - 35 = 0 at y = -58 gives x = -23/16: an integral line holds a
@@ -111,6 +192,41 @@ class TestHashedIncidences:
     def test_lines_without_points_and_points_without_lines(self):
         assert Arrangement([], [Line(1, 0, 0), Line(0, 1, 3)]).incidences == ()
         assert Arrangement([Point(1, 2), Point(Fraction(1, 3), 0)], []).incidences == ()
+
+
+class TestResidueWalk:
+    """``_residue_walk`` against a scan of every column in [lo, hi]."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_is_the_solvable_columns_when_fewer_than_the_columns(self, seed):
+        rng = random.Random(seed)
+        for _ in range(500):
+            a, b = rng.randint(0, 30), rng.choice([-1, 1]) * rng.randint(1, 30)
+            cd, lo = rng.randint(-200, 200), rng.randint(-50, 50)
+            hi = lo + rng.randint(0, 60)
+            solvable = [x for x in range(lo, hi + 1) if (a * x + cd) % b == 0]
+            # Around the boundary, where the walk and the scan trade places.
+            n_columns = max(1, len(solvable) + rng.choice([-1, 0, 1]))
+            walk = _residue_walk(a, b, cd, lo, hi, n_columns)
+            assert (walk is None) == (len(solvable) >= n_columns)
+            if walk is not None:
+                assert list(walk) == solvable
+
+    def test_terms_past_maxsize(self):
+        assert _residue_walk(1, 1, 0, 0, 10**30, 3) is None
+        assert list(_residue_walk(1, 10**30, 0, 0, 10**30, 3)) == [0, 10**30]
+        # x + y = -10^-30 over the columns 0, 1 and 2 * 10^30 (d = 10^30).
+        D = 10**30
+        arr = Arrangement([Point(0, 0), Point(2, 0), Point(Fraction(1, D), -Fraction(2, D))],
+                          [Line(D, D, 1), Line(0, 1, 0)])
+        assert list(arr.incidences) == [(2, 0), (0, 1), (1, 1)]
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_grid_keeps_the_scan(self, n, monkeypatch):
+        walks = spy_on_the_walk(monkeypatch)
+        arr = grid_construction(n)
+        assert arr.n_incidences == n**4
+        assert all(w is None for w in walks.values())
 
 
 class TestGridConstruction:

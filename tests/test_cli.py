@@ -177,6 +177,16 @@ class TestPartitionCommand:
                      "--output", str(tmp_path / "p.json"), "--svg", str(svg)]) == 0
         assert svg.read_text().startswith("<svg")
 
+    @pytest.mark.parametrize("x", [10**400, Fraction(10**400, 3), 10**17],
+                             ids=["400-digit-integer", "400-digit-fraction",
+                                  "margin-below-float-resolution"])
+    def test_svg_of_unplottable_coordinates_exits_2(self, tmp_path, capsys, x):
+        doc = write_doc(tmp_path / "big.json", Arrangement([Point(x, 0), Point(x, 1)], []))
+        assert main(["partition", "--input", doc, "--r", "1", "--output",
+                     str(tmp_path / "p.json"), "--svg", str(tmp_path / "cells.svg")]) == 2
+        assert capsys.readouterr().err == "error: --svg: coordinates too large to plot\n"
+        assert os.listdir(tmp_path) == ["big.json"]   # no report, no SVG, no temp file
+
     def test_csv_profile(self, tmp_path):
         doc = write_doc(tmp_path / "g2.json", grid_construction(2))
         out = tmp_path / "prof.csv"
@@ -343,6 +353,7 @@ COMMANDS = [
     ["theorem1", "--k", "3", "--c", "auto"],
     ["theorem1", "--k", "3", "--c", "1/2", "--beta-k", "1"],
     ["generate", "--kind", "spanned"],
+    ["partition", "--r", "1", "--svg", "SVG"],   # SVG: a path in the test's directory
 ]
 json_leaf = st.one_of(st.none(), st.booleans(), st.integers(-3, 3), st.integers(),
                       st.floats(allow_nan=False, allow_infinity=False), st.text(max_size=4))
@@ -393,13 +404,16 @@ class TestFuzzedDocuments:
     @example('{"schema_version": "1", "points": [], "lines": [[1, "0", 0]]}', ["analyze"])
     @example('{"schema_version": "1", "points": [], "lines": [], "metadata": 7}',
              ["partition", "--r", "3"])
+    @example('{"schema_version": "1", "points": [[[' + "7" * 400 + ', 1], [0, 1]]], "lines": []}',
+             COMMANDS[-1])
     @settings(max_examples=100, deadline=None)
     def test_exit_code_is_never_internal_error(self, text, command):
         with tempfile.TemporaryDirectory() as tmp:
             doc = os.path.join(tmp, "in.json")
             with open(doc, "w", encoding="utf-8") as fh:
                 fh.write(text)
-            code = main(command + ["--input", doc, "--output", os.path.join(tmp, "out")])
+            argv = [os.path.join(tmp, "out.svg") if arg == "SVG" else arg for arg in command]
+            code = main(argv + ["--input", doc, "--output", os.path.join(tmp, "out")])
         assert code in (0, 2, 3)
 
 

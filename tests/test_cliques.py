@@ -11,7 +11,7 @@ from incidences import (Arrangement, Line, PipelineConfig, Point, build_graph,
                         degenerate_filter, dualize, enumerate_complete_tuples,
                         find_complete_tuple, grid_construction, intersection,
                         measured_density, multiplicity_filter, pipeline,
-                        point_multiplicities)
+                        point_multiplicities, spanned_lines)
 from incidences.cli import random_arrangement
 from incidences.cliques import _degeneracy_order, k_cliques
 from conftest import (brute_complete_line_tuples, brute_degeneracy_order,
@@ -241,6 +241,33 @@ class TestEnumerateCompleteTuples:
             enumerate_complete_tuples(g, triangle_arrangement, 2)
 
 
+def pencil_plus_points() -> Arrangement:
+    """Six lines through the origin holding three more points each, the line
+    x = 1 through five of those points, and two points off every line."""
+    slopes = (-2, -1, 0, 1, 3)
+    lines = [Line.from_slope_intercept(m, 0) for m in slopes] + [Line(1, 0, 0), Line(1, 0, -1)]
+    points = [Point(0, 0), Point(7, 5), Point(-3, 11)]
+    points += [Point(t, m * t) for m in slopes for t in (1, -2, 4)]
+    points += [Point(0, t) for t in (1, 2, 3)]
+    return Arrangement(points, lines)
+
+
+RICH_LINE_INPUTS = {
+    "lattice4-spanned": lambda: spanned_lines([Point(x, y) for x in range(4) for y in range(4)]),
+    "grid2": lambda: grid_construction(2),
+    "pencil-plus-points": pencil_plus_points,
+    # Spanned lines of a 3x3 lattice with six lines that miss every point.
+    "point-free-lines": lambda: Arrangement(
+        [Point(x, y) for x in range(3) for y in range(3)],
+        [*spanned_lines([Point(x, y) for x in range(3) for y in range(3)]).lines,
+         Line(1, 0, 5), Line(0, 1, -7), Line(1, 1, 9), Line(1, -1, 4), Line(2, 1, -1),
+         Line(3, 5, 1)]),
+    "fractional": lambda: spanned_lines(
+        [Point(Fraction(x, 3) + Fraction(1, 2), Fraction(y, 16) - Fraction(1, 3))
+         for x in range(3) for y in range(3)] + [Point(Fraction(1, 7), Fraction(5, 2))]),
+}
+
+
 class TestCountTriangles:
     def test_three_crossing_lines(self, triangle_arrangement):
         assert count_triangles(triangle_arrangement) == 1
@@ -253,9 +280,10 @@ class TestCountTriangles:
         arr = Arrangement([Point(0, 0)], lines)
         assert count_triangles(arr) == 0
 
-    @pytest.mark.parametrize("seed", [3, 4, 5, 6])
-    def test_matches_triple_scan(self, seed):
-        arr = random_arrangement(seed, 16, 8, 25)
+    @pytest.mark.parametrize("case", ["3", "4", "5", "6", *RICH_LINE_INPUTS])
+    def test_matches_triple_scan(self, case):
+        arr = RICH_LINE_INPUTS[case]() if case in RICH_LINE_INPUTS else \
+            random_arrangement(int(case), 16, 8, 25)
         assert count_triangles(arr) == brute_triangles(arr)
 
     def test_equals_certified_triples_of_the_dual(self):

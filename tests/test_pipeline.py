@@ -208,31 +208,38 @@ class TestFindCompleteTuple:
         assert set(cert.point_indices) == {0, 1, 2}
 
 
+def joining(arr, p, q):
+    """{(i, j): index of the arrangement line through points p and q}."""
+    i, j = arr.points.index(p), arr.points.index(q)
+    (li,) = set(arr.lines_through_point(i)) & set(arr.lines_through_point(j))
+    return {(i, j): li}
+
+
 class TestLocality:
     def test_adjacent_grid_points(self):
         arr = grid_construction(3)
-        counts = locality_counts(arr, [Point(0, 0), Point(1, 0)])
-        assert counts == {(0, 1): 0}
+        connecting = joining(arr, Point(0, 0), Point(1, 0))
+        counts = locality_counts(arr, connecting)
+        assert counts == dict.fromkeys(connecting, 0)
 
     def test_three_point_run_endpoints(self):
         arr = grid_construction(3)
-        counts = locality_counts(arr, [Point(0, 0), Point(2, 0)])
-        assert counts == {(0, 1): 1}  # (1, 0) sits between
+        connecting = joining(arr, Point(0, 0), Point(2, 0))
+        counts = locality_counts(arr, connecting)
+        assert counts == dict.fromkeys(connecting, 1)  # (1, 0) sits between
 
     def test_certificate_locality_recomputed(self):
         arr = grid_construction(3)
         cert = find_complete_tuple(arr, PipelineConfig(k=3, c=Fraction(1, 2)))
-        pts = [arr.points[i] for i in cert.point_indices]
-        recomputed = locality_counts(arr, pts)
-        translated = {(cert.point_indices[i], cert.point_indices[j]): v
-                      for (i, j), v in recomputed.items()}
-        assert translated == dict(cert.locality)
-        assert all(v < 3 for v in translated.values())
+        recomputed = locality_counts(arr, cert.connecting_lines)
+        assert recomputed == dict(cert.locality)
+        assert all(v < 3 for v in recomputed.values())
 
     def test_requires_distinct_points(self):
         arr = grid_construction(2)
+        i = arr.points.index(Point(0, 0))
         with pytest.raises(ValueError):
-            locality_counts(arr, [Point(0, 0), Point(0, 0)])
+            locality_counts(arr, {(i, i): arr.lines_through_point(i)[0]})
 
 
 class TestSearchSharesLibrarySteps:
