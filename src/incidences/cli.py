@@ -13,11 +13,13 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import os
 import random
 import stat
 import sys
 import time
+from dataclasses import asdict
 from fractions import Fraction
 
 from . import __version__
@@ -232,8 +234,9 @@ def cmd_partition(args) -> int:
         try:
             svg = _partition_svg(arr, pr)
         except (OverflowError, ZeroDivisionError) as exc:
-            # Past the float range, or so large that the 5% margin vanishes in
-            # float rounding and the plot has zero width or height.
+            # Past the float range (a coordinate, their spread or a line end),
+            # or so large that the 5% margin vanishes in float rounding and
+            # the plot has zero width or height.
             raise InvalidParamsError("--svg: coordinates too large to plot") from exc
         _write_text(args.svg, svg)
     if args.format == "csv":
@@ -308,34 +311,13 @@ def cmd_theorem1(args) -> int:
     except ValueError as exc:
         raise InvalidParamsError(str(exc)) from exc
     result = find_complete_tuple(arr, cfg)
-    config_echo = {
-        "k": cfg.k,
-        "c": rational_to_pair(cfg.c),
-        "beta_k": rational_to_pair(cfg.beta_k),
-        "multiplicity_threshold": cfg.multiplicity_threshold,
-        "rich_threshold_slack": rational_to_pair(cfg.rich_threshold_slack),
-        "fallback_cells": cfg.fallback_cells,
-    }
+    config_echo = {name: rational_to_pair(v) if isinstance(v, Fraction) else v
+                   for name, v in asdict(cfg).items()}
     found = isinstance(result, CompleteTupleCertificate)
     if found:
         payload = {"status": "found", "certificate": _certificate_payload(arr, result)}
     else:
-        payload = {
-            "status": "not_found",
-            "report": {
-                "r": result.r, "t": result.t,
-                "n_points": result.n_points, "n_lines": result.n_lines,
-                "n_incidences": result.n_incidences,
-                "density_ok": result.density_ok,
-                "accounting_mode": result.accounting_mode,
-                "attempts": [
-                    {"cell_index": a.cell_index, "floor_sum": a.floor_sum,
-                     "pairable_lines": a.pairable_lines, "segments": a.segment_count,
-                     "dual_edges": a.dual_edges, "certified": a.certified}
-                    for a in result.attempts
-                ],
-            },
-        }
+        payload = {"status": "not_found", "report": asdict(result)}
     if args.format == "csv":
         if found:
             lines = ["point_i,point_j,line_index,points_strictly_between"]
@@ -345,7 +327,7 @@ def cmd_theorem1(args) -> int:
             lines = ["cell_index,floor_sum,pairable_lines,segments,certified"]
             for a in result.attempts:
                 lines.append(f"{a.cell_index},{a.floor_sum},{a.pairable_lines},"
-                             f"{a.segment_count},{str(a.certified).lower()}")
+                             f"{a.segments},{str(a.certified).lower()}")
         _write_text(args.output, "\n".join(lines) + "\n")
         return EXIT_OK if found else EXIT_NOT_FOUND
     report = {
@@ -371,11 +353,17 @@ def _partition_svg(arr: Arrangement, pr, width: int = 640, height: int = 640) ->
     x0, x1 = min(xs) - pad_x, max(xs) + pad_x
     y0, y1 = min(ys) - pad_y, max(ys) + pad_y
 
+    def finite(v: float) -> float:
+        # An extent or a line end past the float range plots as inf or nan.
+        if not math.isfinite(v):
+            raise OverflowError("plot coordinate past the float range")
+        return v
+
     def sx(x: float) -> float:
-        return (x - x0) / (x1 - x0) * width
+        return finite((x - x0) / (x1 - x0) * width)
 
     def sy(y: float) -> float:
-        return height - (y - y0) / (y1 - y0) * height
+        return finite(height - (y - y0) / (y1 - y0) * height)
 
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">']
     for cell in pr.cells:

@@ -106,10 +106,6 @@ class Line:
     def is_vertical(self) -> bool:
         return self.b == 0
 
-    def value_at(self, p: Point) -> Rational:
-        """The exact signed value a*x + b*y + c (zero iff incident)."""
-        return self.a * p.x + self.b * p.y + self.c
-
 
 def incident(p: Point, l: Line) -> bool:
     """True iff p lies exactly on l."""

@@ -7,7 +7,8 @@ certify the result.  The search:
   1. partitions the points into balanced cells with r ~ beta * n^(2/3),
   2. picks the cell maximizing the floor-sum  sum_lines floor(|cell on line| / k),
   3. breaks each line's cell points into disjoint runs of k consecutive
-     points ("segment lines"), which keeps the output local,
+     points ("segment lines"), which keeps the output local; steps 2 and 3
+     read the same cell membership (which cell points lie on which line),
   4. reads the cell's joined-pair graph off the incidence index (one vertex
      per cell point, each edge labelled with the arrangement line through its
      two points, only pairs inside one run on lines holding >= k) and takes
@@ -116,17 +117,17 @@ class CompleteTupleCertificate:
 
 @dataclass(frozen=True)
 class CellAttempt:
-    """Statistics of one searched cell.
+    """Statistics of one searched cell; each field name is its report key.
 
     ``dual_edges`` counts the edges of the cell's joined-pair graph (pairs of
-    cell points joined by a usable line); the name is kept, as is the report
-    key, so that reports stay byte-stable.
+    cell points joined by a usable line); the name is kept so that reports
+    stay byte-stable.
     """
 
     cell_index: int
     floor_sum: int
     pairable_lines: int
-    segment_count: int
+    segments: int
     dual_edges: int
     certified: bool
 
@@ -145,17 +146,13 @@ class NotFoundReport:
     attempts: tuple[CellAttempt, ...]
 
 
-def _cell_line_counts(arr: Arrangement, pr: PartitionResult) -> list[dict[int, int]]:
-    """counts[cell][line] = |cell points on line|, via one pass over incidences."""
-    cell_of: dict[int, int] = {}
-    for ci, cell in enumerate(pr.cells):
-        for pi in cell.point_indices:
-            cell_of[pi] = ci
-    counts: list[dict[int, int]] = [dict() for _ in pr.cells]
-    for pi, li in arr.incidences:
-        bucket = counts[cell_of[pi]]
-        bucket[li] = bucket.get(li, 0) + 1
-    return counts
+def _cell_lines(arr: Arrangement, cell: PartitionCell) -> dict[int, list[int]]:
+    """line index -> the cell points on it, in ascending point index."""
+    out: dict[int, list[int]] = {}
+    for pi in sorted(cell.point_indices):
+        for li in arr.lines_through_point(pi):
+            out.setdefault(li, []).append(pi)
+    return out
 
 
 def rank_cells(arr: Arrangement, pr: PartitionResult, k: int,
@@ -170,26 +167,14 @@ def rank_cells(arr: Arrangement, pr: PartitionResult, k: int,
     if k < 1:
         raise ValueError("k must be >= 1")
     reports = []
-    for ci, bucket in enumerate(_cell_line_counts(arr, pr)):
-        per_line = {li: cnt for li, cnt in sorted(bucket.items())
+    for ci, cell in enumerate(pr.cells):
+        per_line = {li: len(members) for li, members in sorted(_cell_lines(arr, cell).items())
                     if eligible_lines is None or li in eligible_lines}
         reports.append(RichCellReport(ci, sum(cnt // k for cnt in per_line.values()), per_line))
     reports.sort(key=lambda rep: -rep.floor_sum)
     total = sum(rep.floor_sum for rep in reports)
     assert not reports or reports[0].floor_sum * len(reports) >= total, "pigeonhole violated"
     return reports
-
-
-def _cell_points_by_line(arr: Arrangement, cell: PartitionCell) -> dict[int, list[int]]:
-    """line index -> cell points on it (>= 2 of them), ordered along the line."""
-    cellset = set(cell.point_indices)
-    out: dict[int, list[int]] = {}
-    for li in sorted({li for pi in cell.point_indices for li in arr.lines_through_point(pi)}):
-        members = [pi for pi in arr.points_on_line(li) if pi in cellset]
-        if len(members) >= 2:
-            members.sort(key=lambda pi: (arr.points[pi].x, arr.points[pi].y))
-            out[li] = members
-    return out
 
 
 def _runs(by_line: dict[int, list[int]], k: int) -> dict[int, list[tuple[int, ...]]]:
@@ -280,9 +265,11 @@ def _attempt_cell(arr: Arrangement, cell: PartitionCell, cell_index: int,
     three points are collinear exactly when their dual lines fail
     ``degenerate_filter``, so this is the dual line search done in the primal.
     """
-    by_line = _cell_points_by_line(arr, cell)
+    # line -> its cell points (>= 2 of them), ordered along the line
+    by_line = {li: sorted(members, key=lambda pi: (arr.points[pi].x, arr.points[pi].y))
+               for li, members in sorted(_cell_lines(arr, cell).items()) if len(members) >= 2}
     runs_on = _runs(by_line, cfg.k)
-    segment_count = sum(len(runs) for runs in runs_on.values())
+    segments = sum(len(runs) for runs in runs_on.values())
     sub_point_idx = sorted(cell.point_indices)
     vertex = {pi: i for i, pi in enumerate(sub_point_idx)}
     edges: dict[tuple[int, int], int] = {}
@@ -296,7 +283,7 @@ def _attempt_cell(arr: Arrangement, cell: PartitionCell, cell_index: int,
 
     clique = _first_general_position_clique([arr.points[pi] for pi in sub_point_idx],
                                             edges, cfg.k)
-    attempt = CellAttempt(cell_index, floor_sum, len(by_line), segment_count,
+    attempt = CellAttempt(cell_index, floor_sum, len(by_line), segments,
                           len(edges), clique is not None)
     if clique is None:
         return None, attempt

@@ -177,11 +177,17 @@ class TestPartitionCommand:
                      "--output", str(tmp_path / "p.json"), "--svg", str(svg)]) == 0
         assert svg.read_text().startswith("<svg")
 
-    @pytest.mark.parametrize("x", [10**400, Fraction(10**400, 3), 10**17],
-                             ids=["400-digit-integer", "400-digit-fraction",
-                                  "margin-below-float-resolution"])
-    def test_svg_of_unplottable_coordinates_exits_2(self, tmp_path, capsys, x):
-        doc = write_doc(tmp_path / "big.json", Arrangement([Point(x, 0), Point(x, 1)], []))
+    @pytest.mark.parametrize("points, lines", [
+        ([Point(10**400, 0), Point(10**400, 1)], []),
+        ([Point(Fraction(10**400, 3), 0), Point(Fraction(10**400, 3), 1)], []),
+        ([Point(10**17, 0), Point(10**17, 1)], []),
+        ([Point(10**308, 0), Point(-10**308, 1)], []),
+        # y = 1.7e308 x: finite at x = 1, past the float range at the right margin.
+        ([Point(0, -10**307), Point(1, 10**307)], [Line.from_coefficients(17 * 10**307, -1, 0)]),
+    ], ids=["400-digit-integer", "400-digit-fraction", "margin-below-float-resolution",
+            "spread-past-float-range", "line-end-past-float-range"])
+    def test_svg_of_unplottable_coordinates_exits_2(self, tmp_path, capsys, points, lines):
+        doc = write_doc(tmp_path / "big.json", Arrangement(points, lines))
         assert main(["partition", "--input", doc, "--r", "1", "--output",
                      str(tmp_path / "p.json"), "--svg", str(tmp_path / "cells.svg")]) == 2
         assert capsys.readouterr().err == "error: --svg: coordinates too large to plot\n"
@@ -248,6 +254,26 @@ class TestTheorem1Command:
         assert main(args + ["--output", str(out1)]) == 0
         assert main(args + ["--output", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_report_keys_are_the_field_names(self, tmp_path):
+        doc = write_doc(tmp_path / "par.json", Arrangement(
+            [Point(x, x) for x in range(3)],
+            [Line.from_slope_intercept(1, b) for b in range(3)]))
+        out = tmp_path / "run.json"
+        assert main(["theorem1", "--input", doc, "--k", "3", "--c", "1",
+                     "--output", str(out)]) == 3
+        report = json.loads(out.read_text())
+        assert set(report) == {"command", "config", "statistics", "result", "metadata"}
+        assert set(report["config"]) == {"k", "c", "beta_k", "multiplicity_threshold",
+                                         "rich_threshold_slack", "fallback_cells"}
+        assert set(report["result"]) == {"status", "report"}
+        not_found = report["result"]["report"]
+        assert set(not_found) == {"r", "t", "n_points", "n_lines", "n_incidences",
+                                  "density_ok", "accounting_mode", "attempts"}
+        assert not_found["attempts"]
+        for attempt in not_found["attempts"]:
+            assert set(attempt) == {"cell_index", "floor_sum", "pairable_lines",
+                                    "segments", "dual_edges", "certified"}
 
     def test_csv_certificate(self, tmp_path):
         doc = write_doc(tmp_path / "g3.json", grid_construction(3))

@@ -94,34 +94,52 @@ class TestSelectRichCell:
 class TestBreakIntoSegments:
     """The k-point runs of one cell, as ``_attempt_cell`` builds them."""
 
-    def _runs(self, arr, k):
-        cell = partition(arr.points, 1).cells[0]
-        return pipeline._runs(pipeline._cell_points_by_line(arr, cell), k)
+    def _runs(self, arr, k, monkeypatch):
+        made = []
+        real = pipeline._runs
 
-    def test_exactly_k_points_one_segment(self):
+        def spy(by_line, k):
+            made.append(real(by_line, k))
+            return made[-1]
+        monkeypatch.setattr(pipeline, "_runs", spy)
+        cell = partition(arr.points, 1).cells[0]
+        pipeline._attempt_cell(arr, cell, 0, 0, PipelineConfig(k=k, c=1), 1)
+        assert len(made) == 1
+        return made[0]
+
+    def test_cell_lines_is_the_membership(self):
+        arr = spanned_lines([(x, y) for x in range(4) for y in range(3)])
+        for cell in partition(arr.points, 3).cells:
+            members = set(cell.point_indices)
+            expected = {li: [i for i in sorted(arr.points_on_line(li)) if i in members]
+                        for li in range(arr.n_lines)}
+            assert pipeline._cell_lines(arr, cell) == \
+                {li: on for li, on in expected.items() if on}
+
+    def test_exactly_k_points_one_segment(self, monkeypatch):
         pts = [Point(x, 0) for x in range(3)]
         arr = Arrangement(pts, [Line(0, 1, 0)])
-        runs = self._runs(arr, 3)
+        runs = self._runs(arr, 3, monkeypatch)
         assert runs == {0: [(0, 1, 2)]}
         run = runs[0][0]
         assert (arr.points[run[0]], arr.points[run[-1]]) == (Point(0, 0), Point(2, 0))
 
-    def test_seven_points_two_segments_remainder_dropped(self):
+    def test_seven_points_two_segments_remainder_dropped(self, monkeypatch):
         pts = [Point(x, 2 * x) for x in range(7)]
         arr = Arrangement(pts, [Line(2, -1, 0)])
-        runs = self._runs(arr, 3)[0]
+        runs = self._runs(arr, 3, monkeypatch)[0]
         assert runs == [(0, 1, 2), (3, 4, 5)]
         assert not set(runs[0]) & set(runs[1])
 
-    def test_too_few_points_no_segment(self):
+    def test_too_few_points_no_segment(self, monkeypatch):
         pts = [Point(0, 0), Point(1, 0)]
         arr = Arrangement(pts, [Line(0, 1, 0)])
-        assert self._runs(arr, 3) == {}
+        assert self._runs(arr, 3, monkeypatch) == {}
 
-    def test_segments_ordered_along_line(self):
+    def test_segments_ordered_along_line(self, monkeypatch):
         pts = [Point(x, 0) for x in (5, 1, 3, 0, 2, 4)]
         arr = Arrangement(pts, [Line(0, 1, 0)])
-        xs = [[arr.points[i].x for i in run] for run in self._runs(arr, 3)[0]]
+        xs = [[arr.points[i].x for i in run] for run in self._runs(arr, 3, monkeypatch)[0]]
         assert xs == [[0, 1, 2], [3, 4, 5]]
 
 
@@ -254,6 +272,9 @@ class TestSearchSharesLibrarySteps:
         ranking = rank_cells(arr, partition(arr.points, report.r), cfg.k)
         assert [(a.cell_index, a.floor_sum) for a in report.attempts] == \
             [(rep.cell_index, rep.floor_sum) for rep in ranking[:cfg.fallback_cells]]
+        # Ranking and search read the same membership: over all lines, each
+        # floor(|cell on line| / k) is one line's run count.
+        assert all(a.segments == a.floor_sum for a in report.attempts)
 
     @pytest.mark.parametrize("arr, k, threshold, sheared", [
         (grid_construction(4), 3, None, False),
@@ -293,7 +314,9 @@ class TestSearchSharesLibrarySteps:
             ref_dual = dualize(shear(sub, shears[-1]) if shears[-1] else sub)
             ref = build_graph(ref_dual, multiplicity_filter(ref_dual, cfg.multiplicity_threshold))
             cut += len(lines) - len(ref.kept_points)
-            runs_on = pipeline._runs(pipeline._cell_points_by_line(arr, cell), k)
+            along = {li: sorted(on, key=lambda i: (arr.points[i].x, arr.points[i].y))
+                     for li, on in pipeline._cell_lines(arr, cell).items()}
+            runs_on = pipeline._runs(along, k)
             run_of = {(li, i): (li, n) for li, runs in runs_on.items()
                       for n, run in enumerate(runs) for i in run}
             expected = {(u, v): lines[w] for (u, v), w in ref.edges.items()
