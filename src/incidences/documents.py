@@ -4,11 +4,21 @@ Coordinates are serialized as [numerator, denominator] integer pairs and line
 coefficients as canonical [a, b, c] triples, so parse(serialize(arr)) gives
 back the identical canonical arrangement and geometry survives a round trip
 bit for bit.
+
+Every document and report is written by ``dumps_canonical``, whose text is
+exactly ``json.dumps(obj, sort_keys=True, indent=2) + "\n"``.  With ``indent``
+set, ``json`` runs its pure-Python encoder, so the text is built here instead:
+objects are walked in Python, and a list whose leaves are all numbers, booleans
+or nulls at one depth (a ``points`` or ``lines`` array) is encoded by the C
+encoder in compact form and indented with one ``str.replace`` per nesting
+level.  Reading refuses what writing could not reproduce as JSON: NaN, the
+infinities and numbers past the float range.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 
 from .arrangement import Arrangement
@@ -76,28 +86,162 @@ def arrangement_from_document(doc) -> tuple[Arrangement, dict]:
         arr = Arrangement(points, lines)
     except ValueError as exc:
         raise DocumentError(str(exc)) from exc
-    metadata = doc.get("metadata") or {}
+    metadata = doc.get("metadata")
+    if metadata is None:
+        return arr, {}
     if not isinstance(metadata, dict):
         raise DocumentError("metadata must be an object")
     return arr, metadata
 
 
+# The C encoder runs only without ``indent``.  Compact separators put no
+# space into its text, so indenting only has to add newlines and padding.
+# Its own circular-reference check would halve its speed: ``dumps_canonical``
+# checks the path it walks, and a cycle inside a list encoded whole recurses
+# into a RecursionError.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False,
+                            check_circular=False)
+
+
+def _indent_numeric_list(text: str, level: int) -> str | None:
+    """The indented form of a compact list text, or None if it has no simple one.
+
+    The simple form exists when the text holds no string, no object and no
+    empty list, and every leaf sits at the same depth: then every bracket and
+    comma is structure, and between two leaves the text closes j lists, has
+    one comma and opens j lists, for some j < depth.  Each such separator
+    becomes one fixed string, so one ``str.replace`` per depth indents it.
+    ``level`` is the indent level of the line the list opens on.
+    """
+    if '"' in text or "{" in text or "[]" in text:
+        return None
+    depth = len(text) - len(text.lstrip("["))
+    # A separator closing a lists and opening b keeps the leaves at one depth
+    # only if a == b.  That holds for every separator exactly when, for each
+    # j, as many separators close >= j lists as open >= j as do both.
+    top = 0   # the most lists a separator closes
+    for j in range(1, depth + 1):
+        closing = text.count("]" * j + ",")
+        if closing != text.count("," + "[" * j) or closing != text.count("]" * j + "," + "[" * j):
+            return None
+        if not closing:
+            break
+        top = j
+
+    def pad(d: int) -> str:
+        return "\n" + "  " * (level + d)
+
+    def opens(first: int) -> str:   # open the lists of depths first..depth
+        return "".join("[" + pad(d) for d in range(first, depth + 1))
+
+    def closes(last: int) -> str:   # close the lists of depths depth..last
+        return "".join(pad(d - 1) + "]" for d in range(depth, last - 1, -1))
+
+    inner = text[depth:-depth].replace(",", "," + pad(depth))
+    for j in range(top, 0, -1):
+        inner = inner.replace("]" * j + "," + pad(depth) + "[" * j,
+                              closes(depth - j + 1) + "," + pad(depth - j) + opens(depth - j + 1))
+    return "".join((opens(1), inner, closes(1)))
+
+
+def _pieces(value, level: int, try_compact: bool):
+    """The indented text of one list or dict at ``level``, in pieces.
+
+    Yields strings, and a ``(child, level, try_compact)`` frame for each
+    nested list or dict, whose text belongs at that point.  A list that does
+    not start with a string or an object is first tried whole through the C
+    encoder; if it has no simple indented form its elements go one by one,
+    and no list below it is encoded whole again, so no subtree is encoded
+    once per level.
+    """
+    if isinstance(value, dict):
+        if not value:
+            yield "{}"
+            return
+        opening, closing = "{", "}"
+        items = sorted(value.items())
+        if not all(isinstance(key, str) for key, _ in items):
+            raise TypeError("keys must be str")
+        items = ((_ENCODER.encode(key) + ": ", child) for key, child in items)
+    else:
+        if not value:
+            yield "[]"
+            return
+        if try_compact and not isinstance(value[0], (str, dict)):
+            indented = _indent_numeric_list(_ENCODER.encode(value), level)
+            if indented is not None:
+                yield indented
+                return
+            try_compact = False
+        opening, closing = "[", "]"
+        items = (("", child) for child in value)
+    separator = opening + "\n" + "  " * (level + 1)
+    for key, child in items:
+        yield separator + key
+        if isinstance(child, (list, tuple, dict)):
+            yield child, level + 1, try_compact
+        else:
+            yield _ENCODER.encode(child)
+        separator = ",\n" + "  " * (level + 1)
+    yield "\n" + "  " * level + closing
+
+
 def dumps_canonical(obj) -> str:
     """Byte-stable JSON: sorted keys, two-space indent, trailing newline.
 
-    An integer past Python's int-string limit cannot be written, just as it
-    cannot be read; that is raised as DocumentError, before any output.
+    The text is exactly ``json.dumps(obj, sort_keys=True, indent=2) + "\n"``
+    for str-keyed JSON values.  Dicts and lists are walked with an explicit
+    stack, not recursion, so nesting as deep as a document may be read is
+    written too; each list of plain numbers is encoded whole by the C encoder
+    and indented by ``str.replace`` (see ``_indent_numeric_list``).
+
+    What JSON cannot carry is raised as DocumentError, before any output: an
+    integer past Python's int-string limit (it cannot be read either), a NaN
+    or infinite float, and a circular or overly deep structure.
     """
     try:
-        return json.dumps(obj, sort_keys=True, indent=2) + "\n"
-    except ValueError as exc:
+        if not isinstance(obj, (list, tuple, dict)):
+            return _ENCODER.encode(obj) + "\n"
+        out: list[str] = []
+        stack = [(id(obj), _pieces(obj, 0, True))]
+        on_path = {id(obj)}
+        while stack:
+            for piece in stack[-1][1]:
+                if isinstance(piece, str):
+                    out.append(piece)
+                    continue
+                if id(piece[0]) in on_path:
+                    raise ValueError("circular reference")
+                on_path.add(id(piece[0]))
+                stack.append((id(piece[0]), _pieces(*piece)))
+                break
+            else:
+                on_path.remove(stack.pop()[0])
+        out.append("\n")
+        return "".join(out)
+    except (ValueError, RecursionError) as exc:
         raise DocumentError(f"unwritable JSON: {exc}") from exc
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise DocumentError(f"number {text} is past the float range")
+    return value
+
+
+def _no_constant(name: str):
+    raise DocumentError(f"{name} is not a JSON number")
+
+
+_DECODER = json.JSONDecoder(parse_float=_finite_float, parse_constant=_no_constant)
+
+
 def loads_document(text: str) -> dict:
-    """Parse JSON; integers past Python's int-string limit and over-deep nesting are rejected."""
+    """Parse JSON; integers past Python's int-string limit, NaN, the
+    infinities, floats past the float range and over-deep nesting are rejected."""
     try:
-        return json.loads(text)
+        return _DECODER.decode(text)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     except (ValueError, RecursionError) as exc:

@@ -164,11 +164,17 @@ def rank_cells(arr: Arrangement, pr: PartitionResult, k: int,
     cell's floor-sum is at least the average over all cells; this pigeonhole
     fact is asserted exactly.
     """
+    return _rank([_cell_lines(arr, cell) for cell in pr.cells], k, eligible_lines)
+
+
+def _rank(memberships: list[dict[int, list[int]]], k: int,
+          eligible_lines: set[int] | None = None) -> list[RichCellReport]:
+    """``rank_cells`` over each cell's ``_cell_lines``, given in cell order."""
     if k < 1:
         raise ValueError("k must be >= 1")
     reports = []
-    for ci, cell in enumerate(pr.cells):
-        per_line = {li: len(members) for li, members in sorted(_cell_lines(arr, cell).items())
+    for ci, by_line in enumerate(memberships):
+        per_line = {li: len(members) for li, members in sorted(by_line.items())
                     if eligible_lines is None or li in eligible_lines}
         reports.append(RichCellReport(ci, sum(cnt // k for cnt in per_line.values()), per_line))
     reports.sort(key=lambda rep: -rep.floor_sum)
@@ -252,22 +258,26 @@ def _first_general_position_clique(points: list[Point], edges: Mapping[tuple[int
     return None
 
 
-def _attempt_cell(arr: Arrangement, cell: PartitionCell, cell_index: int,
-                  floor_sum: int, cfg: PipelineConfig, r: int
+def _attempt_cell(arr: Arrangement, cell: PartitionCell, cell_lines: dict[int, list[int]],
+                  cell_index: int, floor_sum: int, cfg: PipelineConfig, r: int
                   ) -> tuple[CompleteTupleCertificate | None, CellAttempt]:
     """Search one cell's joined-pair graph for k points in general position.
 
-    Vertex i is the i-th cell point in index order; edge (i, j) is labelled
-    with the index of the arrangement line through both.  Lines holding more
-    than ``multiplicity_threshold`` cell points are not used; on a line
-    holding >= k, only pairs inside one k-point run are, which keeps the
-    final tuple local.  The first clique with no ``collinear`` triple wins:
-    three points are collinear exactly when their dual lines fail
-    ``degenerate_filter``, so this is the dual line search done in the primal.
+    ``cell_lines`` is the cell's ``_cell_lines``, whose lists this reorders
+    along their lines.  Vertex i is the i-th cell point in index order; edge
+    (i, j) is labelled with the index of the arrangement line through both.
+    Lines holding more than ``multiplicity_threshold`` cell points are not
+    used; on a line holding >= k, only pairs inside one k-point run are, which
+    keeps the final tuple local.  The first clique with no ``collinear``
+    triple wins: three points are collinear exactly when their dual lines
+    fail ``degenerate_filter``, so this is the dual line search done in the
+    primal.
     """
-    # line -> its cell points (>= 2 of them), ordered along the line
-    by_line = {li: sorted(members, key=lambda pi: (arr.points[pi].x, arr.points[pi].y))
-               for li, members in sorted(_cell_lines(arr, cell).items()) if len(members) >= 2}
+    # line -> its cell points (>= 2 of them), ordered along the line; the
+    # lists are sorted in place, as nothing reads them in index order again.
+    by_line = {li: members for li, members in sorted(cell_lines.items()) if len(members) >= 2}
+    for members in by_line.values():
+        members.sort(key=lambda pi: (arr.points[pi].x, arr.points[pi].y))
     runs_on = _runs(by_line, cfg.k)
     segments = sum(len(runs) for runs in runs_on.values())
     sub_point_idx = sorted(cell.point_indices)
@@ -326,15 +336,18 @@ def find_complete_tuple(arr: Arrangement,
     eligible = {li for li in range(arr.n_lines)
                 if (len(arr.points_on_line(li)) * slack.denominator)**2
                 >= (slack.numerator * cfg.k)**2 * r}
+    # Both rankings and every attempt read one membership per cell.
+    memberships = [_cell_lines(arr, cell) for cell in pr.cells]
     mode = "rich-lines"
-    ranking = rank_cells(arr, pr, cfg.k, eligible) if eligible else []
+    ranking = _rank(memberships, cfg.k, eligible) if eligible else []
     if not ranking or ranking[0].floor_sum == 0:
         mode = "all-lines"
-        ranking = rank_cells(arr, pr, cfg.k)
+        ranking = _rank(memberships, cfg.k)
 
     attempts: list[CellAttempt] = []
     for rep in ranking[:cfg.fallback_cells]:
-        cert, attempt = _attempt_cell(arr, pr.cells[rep.cell_index], rep.cell_index,
+        ci = rep.cell_index
+        cert, attempt = _attempt_cell(arr, pr.cells[ci], memberships[ci], ci,
                                       rep.floor_sum, cfg, r)
         attempts.append(attempt)
         if cert is not None:

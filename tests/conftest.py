@@ -7,6 +7,7 @@ fast paths always have something independent to be checked against.
 
 from __future__ import annotations
 
+import json
 from itertools import combinations
 
 import pytest
@@ -14,6 +15,24 @@ import pytest
 from incidences import (Arrangement, Line, Point, concurrent, incident,
                         intersection, spanned_lines)
 from incidences.cli import random_arrangement
+
+
+def reference_dumps(obj) -> str:
+    """The canonical document text by definition, through ``json``'s own indenting."""
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+def first_difference(text: str, expected: str) -> tuple[int, str, str] | None:
+    """None when the texts are equal, else where they first differ, in context.
+
+    Tests assert on this rather than on ``text == expected``: pytest would
+    diff two megabyte texts line by line to explain a failure.
+    """
+    if text == expected:
+        return None
+    at = next((i for i, (a, b) in enumerate(zip(text, expected)) if a != b),
+              min(len(text), len(expected)))
+    return at, text[max(0, at - 40):at + 40], expected[max(0, at - 40):at + 40]
 
 
 def brute_incidences(arr: Arrangement) -> set[tuple[int, int]]:

@@ -299,8 +299,14 @@ class TestArgumentErrors:
         (["generate", "--kind", "spanned"],
          dumps_canonical(arrangement_to_document(Arrangement([Point(0, 0)], [])))),
         (["generate", "--kind", "spanned"], huge_coordinate_points()),
+        *((["analyze"], '{"schema_version": "1", "points": [], "lines": [], "metadata": '
+           + metadata + "}")
+          for metadata in ('{"x": NaN}', '{"x": Infinity}', '{"x": -Infinity}',
+                           '{"x": [1e400]}', "[]", "0", "false", '""')),
     ], ids=["5001-digit-numerator", "deep-nesting", "spanned-one-point",
-            "spanned-output-past-digit-limit"])
+            "spanned-output-past-digit-limit", "metadata-nan", "metadata-infinity",
+            "metadata-minus-infinity", "metadata-float-overflow", "metadata-empty-list",
+            "metadata-zero", "metadata-false", "metadata-empty-string"])
     def test_rejected_input_exits_2(self, tmp_path, capsys, command, text):
         doc = tmp_path / "in.json"
         doc.write_text(text)

@@ -103,7 +103,8 @@ class TestBreakIntoSegments:
             return made[-1]
         monkeypatch.setattr(pipeline, "_runs", spy)
         cell = partition(arr.points, 1).cells[0]
-        pipeline._attempt_cell(arr, cell, 0, 0, PipelineConfig(k=k, c=1), 1)
+        pipeline._attempt_cell(arr, cell, pipeline._cell_lines(arr, cell), 0, 0,
+                               PipelineConfig(k=k, c=1), 1)
         assert len(made) == 1
         return made[0]
 
@@ -275,6 +276,30 @@ class TestSearchSharesLibrarySteps:
         # Ranking and search read the same membership: over all lines, each
         # floor(|cell on line| / k) is one line's run count.
         assert all(a.segments == a.floor_sum for a in report.attempts)
+
+    def test_each_cell_membership_is_built_once(self, monkeypatch, grid3x3):
+        """Both rankings and every attempt read one ``_cell_lines`` per cell."""
+        built, rankings = [], []
+        real_cell_lines, real_rank = pipeline._cell_lines, pipeline._rank
+
+        def cell_lines(arr, cell):
+            built.append(cell.point_indices)
+            return real_cell_lines(arr, cell)
+
+        def rank(memberships, k, eligible_lines=None):
+            rankings.append(eligible_lines)
+            return real_rank(memberships, k, eligible_lines)
+        monkeypatch.setattr(pipeline, "_cell_lines", cell_lines)
+        monkeypatch.setattr(pipeline, "_rank", rank)
+        cfg = PipelineConfig(k=3, c=1, beta_k=2, rich_threshold_slack=Fraction(1, 4))
+        report = find_complete_tuple(grid3x3, cfg)
+        # The rich-line ranking had floor-sum 0 everywhere, so all lines were
+        # ranked too, and every cell was attempted.
+        assert isinstance(report, NotFoundReport) and report.accounting_mode == "all-lines"
+        assert len(rankings) == 2 and rankings[0] and rankings[1] is None
+        assert len(report.attempts) == report.t == 5
+        cells = partition(grid3x3.points, report.r).cells
+        assert sorted(built) == sorted(cell.point_indices for cell in cells)
 
     @pytest.mark.parametrize("arr, k, threshold, sheared", [
         (grid_construction(4), 3, None, False),
