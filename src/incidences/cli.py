@@ -310,9 +310,17 @@ def cmd_theorem1(args) -> int:
         )
     except ValueError as exc:
         raise InvalidParamsError(str(exc)) from exc
-    result = find_complete_tuple(arr, cfg)
     config_echo = {name: rational_to_pair(v) if isinstance(v, Fraction) else v
                    for name, v in asdict(cfg).items()}
+    if args.format == "json":
+        # The report echoes the configuration.  repr turns its ints into text
+        # as the writer does, so a numerator or denominator past the
+        # int-to-str digit limit exits 2 here, before the search.
+        try:
+            repr(config_echo)
+        except ValueError as exc:
+            raise InvalidParamsError(f"configuration cannot be written: {exc}") from exc
+    result = find_complete_tuple(arr, cfg)
     found = isinstance(result, CompleteTupleCertificate)
     if found:
         payload = {"status": "found", "certificate": _certificate_payload(arr, result)}

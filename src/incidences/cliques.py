@@ -12,7 +12,12 @@ feasible and a stronger certificate than any counting argument.  One
 enumerator, ``k_cliques``, serves both views of that search: the line view
 here (cliques filtered by ``degenerate_filter``) and the point view of the
 ``theorem1`` search (cliques of the joined-pair graph filtered by
-``collinear``).  ``count_triangles`` enumerates no triple at all: it counts
+``collinear``).  Before it enumerates, ``k_cliques`` colours the graph
+greedily and stops at once when fewer than k colours suffice (the colour
+bound of Tomita & Seki, DMTCS 2003): a proper colouring gives the vertices
+of a clique pairwise distinct colours, so such a graph has no k-clique.
+Most cells the ``theorem1`` search tries without success are proved empty
+this way.  ``count_triangles`` enumerates no triple at all: it counts
 the joined-pair graph's triangles and subtracts the collinear ones, which the
 arrangement's lines count exactly.
 """
@@ -122,6 +127,29 @@ def _degeneracy_order(n: int, adj: list[set[int]]) -> list[int]:
     return order
 
 
+def _greedy_colours(later: list[set[int]], k: int) -> int:
+    """Colours used by a greedy colouring of the ranked graph, counted up to k.
+
+    Ranks are coloured from the last to the first, each taking the least
+    colour that none of its later neighbours has.  Every edge joins a rank to
+    a later one, so the colouring is proper.  Counting stops at k colours,
+    which prove nothing about a k-clique.
+    """
+    colour = [0] * len(later)
+    used = 0
+    for p in range(len(later) - 1, -1, -1):
+        taken = {colour[q] for q in later[p]}
+        c = 0
+        while c in taken:
+            c += 1
+        colour[p] = c
+        if c == used:
+            used += 1
+            if used == k:
+                break
+    return used
+
+
 def k_cliques(n: int, edges: Iterable[tuple[int, int]], k: int) -> Iterator[tuple[int, ...]]:
     """Every k-clique of the graph on vertices 0..n-1, as sorted vertex tuples.
 
@@ -130,6 +158,14 @@ def k_cliques(n: int, edges: Iterable[tuple[int, int]], k: int) -> Iterator[tupl
     fixed by the graph alone.  Each top-level vertex starts from its later
     neighbours only (Chiba & Nishizeki, SIAM J. Comput. 1985), not from a scan
     of every later vertex.
+
+    Nothing is enumerated when ``_greedy_colours`` uses fewer than k colours
+    (Tomita & Seki, DMTCS 2003).  The bound is exact: the vertices of a clique
+    are pairwise adjacent, so a proper colouring needs at least as many
+    colours as the largest clique has vertices.  It is checked once, before
+    the search, not at every node: it either proves the whole graph free of
+    k-cliques or changes nothing, so the output and its order never depend
+    on it.
     """
     adj: list[set[int]] = [set() for _ in range(n)]
     for i, j in edges:
@@ -140,6 +176,8 @@ def k_cliques(n: int, edges: Iterable[tuple[int, int]], k: int) -> Iterator[tupl
     for p, v in enumerate(order):
         rank[v] = p
     later = [{rank[w] for w in adj[v] if rank[w] > p} for p, v in enumerate(order)]
+    if _greedy_colours(later, k) < k:
+        return
 
     def extend(base: list[int], candidates: list[int]):
         if len(base) == k:

@@ -325,8 +325,13 @@ def find_complete_tuple(arr: Arrangement,
     inc = arr.n_incidences
     density_ok = Fraction(inc)**3 >= cfg.c**3 * Fraction(n)**4
     if not density_ok:
+        try:
+            c_text = str(cfg.c)
+        except ValueError:   # a part past the int-to-str digit limit
+            c_text = (f"<{cfg.c.numerator.bit_length()}-bit numerator / "
+                      f"{cfg.c.denominator.bit_length()}-bit denominator>")
         logger.warning("incidence count %d below c * n^(4/3) for c=%s, n=%d; searching anyway",
-                       inc, cfg.c, n)
+                       inc, c_text, n)
     r = max(1, min(n, ceil_scaled_pow23(n, cfg.beta_k))) if n else 1
     pr = partition(arr.points, r)
 
@@ -336,16 +341,19 @@ def find_complete_tuple(arr: Arrangement,
     eligible = {li for li in range(arr.n_lines)
                 if (len(arr.points_on_line(li)) * slack.denominator)**2
                 >= (slack.numerator * cfg.k)**2 * r}
-    # Both rankings and every attempt read one membership per cell.
+    # Both rankings and every attempt read one membership per cell; only the
+    # tried cells' memberships are kept past the ranking.
     memberships = [_cell_lines(arr, cell) for cell in pr.cells]
     mode = "rich-lines"
     ranking = _rank(memberships, cfg.k, eligible) if eligible else []
     if not ranking or ranking[0].floor_sum == 0:
         mode = "all-lines"
         ranking = _rank(memberships, cfg.k)
+    ranking = ranking[:cfg.fallback_cells]
+    memberships = {rep.cell_index: memberships[rep.cell_index] for rep in ranking}
 
     attempts: list[CellAttempt] = []
-    for rep in ranking[:cfg.fallback_cells]:
+    for rep in ranking:
         ci = rep.cell_index
         cert, attempt = _attempt_cell(arr, pr.cells[ci], memberships[ci], ci,
                                       rep.floor_sum, cfg, r)

@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from incidences import Arrangement, Line, Point, grid_construction, spanned_lines
+from incidences import cli
 from incidences.cli import _write_text, main, random_arrangement
 from incidences.documents import (DocumentError, arrangement_from_document,
                                   arrangement_to_document, dumps_canonical,
@@ -313,6 +314,28 @@ class TestArgumentErrors:
         assert main(command + ["--input", str(doc), "--output", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err.startswith("error:")
         assert os.listdir(tmp_path) == ["in.json"]   # no report, no temp file
+
+
+    @pytest.mark.parametrize("options", [
+        ["--c", "1e5000"], ["--c", "1e-5000"], ["--c", "1", "--beta-k", "1e5000"],
+        ["--c", "1", "--beta-k", "1e-5000"], ["--c", "1", "--slack", "1e5000"],
+        ["--c", "1", "--slack", "1e-5000"],
+    ], ids=["c", "c-denominator", "beta-k", "beta-k-denominator", "slack",
+            "slack-denominator"])
+    def test_config_past_the_digit_limit_exits_2_before_the_search(
+            self, tmp_path, capsys, monkeypatch, options):
+        """The report echoes the configuration, so a numerator or denominator
+        past the int-to-str digit limit is refused before any search."""
+        searched = []
+        monkeypatch.setattr(cli, "find_complete_tuple", lambda *a: searched.append(a))
+        doc = write_doc(tmp_path / "g2.json", grid_construction(2))
+        argv = ["theorem1", "--input", doc, "--k", "3", *options,
+                "--output", str(tmp_path / "out")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert searched == []
+        assert os.listdir(tmp_path) == ["g2.json"]
 
 
 class TestAtomicWrite:

@@ -6,12 +6,13 @@ from itertools import combinations
 
 import pytest
 
-from incidences import (Arrangement, Line, PipelineConfig, Point, build_graph,
-                        collinear, count_triangles, de_caen_szekely_monitor,
-                        degenerate_filter, dualize, enumerate_complete_tuples,
-                        find_complete_tuple, grid_construction, intersection,
-                        measured_density, multiplicity_filter, pipeline,
-                        point_multiplicities, spanned_lines)
+from incidences import (Arrangement, Line, NotFoundReport, PipelineConfig, Point,
+                        build_graph, cliques, collinear, count_triangles,
+                        de_caen_szekely_monitor, degenerate_filter, dualize,
+                        enumerate_complete_tuples, find_complete_tuple,
+                        grid_construction, intersection, measured_density,
+                        multiplicity_filter, pipeline, point_multiplicities,
+                        spanned_lines)
 from incidences.cli import random_arrangement
 from incidences.cliques import _degeneracy_order, k_cliques
 from conftest import (brute_complete_line_tuples, brute_degeneracy_order,
@@ -125,6 +126,59 @@ class TestDegenerateFilter:
                 ("on-pq", True), ("any", False)} <= seen
 
 
+def brute_k_cliques(n, edges, k):
+    """Every k-subset that is a clique, in lexicographic order of degeneracy ranks."""
+    adj = [set() for _ in range(n)]
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    order = brute_degeneracy_order(n, adj)
+    return [tuple(sorted(order[r] for r in ranks))
+            for ranks in combinations(range(n), k)
+            if all(order[b] in adj[order[a]] for a, b in combinations(ranks, 2))]
+
+
+def random_edges(rng, n, p, isolated=()):
+    """Each pair outside ``isolated`` with probability p, either way round, shuffled."""
+    edges = [(u, v) if rng.random() < 0.5 else (v, u)
+             for u, v in combinations(range(n), 2)
+             if u not in isolated and v not in isolated and rng.random() < p]
+    rng.shuffle(edges)
+    return edges
+
+
+def run_graph(rng, n, k, groups):
+    """Edge-disjoint cliques on 2..k random vertices, as the search's cell
+    graphs are: each line's run of k points, or all of a line's fewer points,
+    is a clique, and two lines share at most one point."""
+    edges = set()
+    for _ in range(groups):
+        group = sorted(rng.sample(range(n), rng.randint(2, k)))
+        pairs = set(combinations(group, 2))
+        if not pairs & edges:
+            edges |= pairs
+    return sorted(edges)
+
+
+def spy_colours(monkeypatch):
+    """Record every ``_greedy_colours`` result as (k, colours used)."""
+    seen = []
+    real = cliques._greedy_colours
+
+    def spy(later, k):
+        used = real(later, k)
+        seen.append((k, used))
+        return used
+    monkeypatch.setattr(cliques, "_greedy_colours", spy)
+    return seen
+
+
+GROETZSCH = (
+    [(i, (i + 1) % 5) for i in range(5)]                              # outer 5-cycle
+    + [(5 + i, (i + s) % 5) for i in range(5) for s in (1, 4)]        # v_i ~ u_(i-1), u_(i+1)
+    + [(10, 5 + i) for i in range(5)])                                # hub ~ every v_i
+
+
 class TestKCliques:
     @pytest.mark.parametrize("seed", range(30))
     def test_every_clique_in_degeneracy_rank_order(self, seed):
@@ -135,20 +189,76 @@ class TestKCliques:
         n = rng.randint(0, 25)
         k = rng.randint(3, 5)
         isolated = set(rng.sample(range(n), n // 5))
-        p = rng.choice((0.5, 0.7, 0.9))
-        edges = [(u, v) if rng.random() < 0.5 else (v, u)
-                 for u, v in combinations(range(n), 2)
-                 if u not in isolated and v not in isolated and rng.random() < p]
-        rng.shuffle(edges)
-        adj = [set() for _ in range(n)]
-        for u, v in edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        order = brute_degeneracy_order(n, adj)
-        expected = [tuple(sorted(order[r] for r in ranks))
-                    for ranks in combinations(range(n), k)
-                    if all(order[b] in adj[order[a]] for a, b in combinations(ranks, 2))]
-        assert list(k_cliques(n, edges, k)) == expected
+        edges = random_edges(rng, n, rng.choice((0.5, 0.7, 0.9)), isolated)
+        assert list(k_cliques(n, edges, k)) == brute_k_cliques(n, edges, k)
+
+
+class TestColourBound:
+    """``k_cliques`` returns before enumerating when a greedy colouring uses
+    fewer than k colours; its output must not change either way."""
+
+    def test_sparse_random_graphs(self, monkeypatch):
+        seen = spy_colours(monkeypatch)
+        rng = random.Random(10)
+        for _ in range(60):
+            n = rng.randint(0, 25)
+            k = rng.randint(3, 5)
+            edges = random_edges(rng, n, rng.choice((0.1, 0.2, 0.3)))
+            assert list(k_cliques(n, edges, k)) == brute_k_cliques(n, edges, k)
+        fired = sum(used < k for k, used in seen)
+        assert len(seen) == 60 and 10 < fired < 50   # both paths are exercised
+
+    def test_unions_of_edge_disjoint_cliques(self, monkeypatch):
+        seen = spy_colours(monkeypatch)
+        rng = random.Random(11)
+        for _ in range(60):
+            n = rng.randint(6, 24)
+            k = rng.randint(3, 5)
+            edges = run_graph(rng, n, k, rng.randint(1, 3 * n))
+            assert list(k_cliques(n, edges, k)) == brute_k_cliques(n, edges, k)
+        fired = sum(used < k for k, used in seen)
+        assert len(seen) == 60 and 5 < fired < 55
+
+    @pytest.mark.parametrize("n, edges, k", [
+        (5, [(i, (i + 1) % 5) for i in range(5)], 3),
+        (11, GROETZSCH, 3),
+        (11, GROETZSCH, 4),
+    ], ids=["C5-k3", "groetzsch-k3", "groetzsch-k4"])
+    def test_enough_colours_but_no_clique(self, monkeypatch, n, edges, k):
+        """An odd cycle needs 3 colours and the Groetzsch graph 4, yet neither
+        has a triangle: the bound cannot fire and the search finds nothing."""
+        seen = spy_colours(monkeypatch)
+        assert list(k_cliques(n, edges, k)) == []
+        assert seen == [(k, k)]
+
+    @pytest.mark.parametrize("k", [3, 4, 5, 6])
+    @pytest.mark.parametrize("pendants", [0, 1, 4])
+    def test_colours_equal_to_k_keep_the_clique(self, monkeypatch, k, pendants):
+        """K_k needs exactly k colours, so the bound must not fire on it, with
+        or without pendant vertices hung on its vertices."""
+        seen = spy_colours(monkeypatch)
+        edges = [*combinations(range(k), 2), *((i % k, k + i) for i in range(pendants))]
+        assert list(k_cliques(k + pendants, edges, k)) == [tuple(range(k))]
+        assert seen == [(k, k)]
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_colours_in_reverse_degeneracy_order(self, monkeypatch, k):
+        """The crown graph (K_4,4 less a perfect matching), labelled so that
+        a_i = 2i and b_i = 2i + 1, is bipartite; a greedy colouring by vertex
+        index uses 4 colours on it, one in reverse degeneracy order 2."""
+        seen = spy_colours(monkeypatch)
+        edges = [(2 * i, 2 * j + 1) for i in range(4) for j in range(4) if i != j]
+        assert list(k_cliques(8, edges, k)) == []
+        assert seen == [(k, 2)]
+
+    def test_proves_the_grid12_k4_cells_empty(self, monkeypatch):
+        """On grid (12, 4) with the default configuration every tried cell
+        has floor-sum 0, and the colouring shows it has no 4-clique."""
+        seen = spy_colours(monkeypatch)
+        arr = grid_construction(12)
+        report = find_complete_tuple(arr, PipelineConfig(k=4, c=measured_density(arr)))
+        assert isinstance(report, NotFoundReport) and len(report.attempts) == 8
+        assert [used for _, used in seen] == [3, 2, 3, 3, 3, 3, 3, 3]
 
 
 class TestDegeneracyOrder:

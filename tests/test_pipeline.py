@@ -1,5 +1,6 @@
 """Structure pipeline: cell selection, segments, search, locality, audit."""
 
+import logging
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -218,6 +219,14 @@ class TestFindCompleteTuple:
         assert isinstance(cert, CompleteTupleCertificate)
         assert all(v < 4 for v in cert.locality.values())
 
+    def test_density_warning_names_a_c_past_the_digit_limit(self, caplog, capsys):
+        with caplog.at_level(logging.WARNING, logger="incidences.pipeline"):
+            find_complete_tuple(grid_construction(2), PipelineConfig(k=3, c=10**5000))
+        assert [rec.getMessage() for rec in caplog.records] == [
+            "incidence count 16 below c * n^(4/3) for c=<16610-bit numerator / "
+            "1-bit denominator>, n=16; searching anyway"]
+        assert "Logging error" not in capsys.readouterr().err
+
     def test_handles_vertical_lines_via_shear(self):
         # A complete triple whose connecting lines include a vertical one.
         pts = [Point(0, 0), Point(0, 2), Point(2, 0)]
@@ -225,6 +234,34 @@ class TestFindCompleteTuple:
         cert = find_complete_tuple(arr, PipelineConfig(k=3, c=Fraction(1, 100)))
         assert isinstance(cert, CompleteTupleCertificate)
         assert set(cert.point_indices) == {0, 1, 2}
+
+
+# find_complete_tuple on the unshuffled grids with --c auto's configuration:
+# (N, k) -> the certificate's point indices and connecting line of each pair,
+# or None for NotFound.  A search that prunes a clique it should have found
+# changes one of these.
+PINNED_SEARCHES = {
+    (8, 3): ((0, 130, 258), {(0, 130): 128, (0, 258): 64, (130, 258): 2}),
+    (8, 4): ((0, 132, 262, 390), {(0, 132): 256, (0, 262): 192, (0, 390): 128,
+                                  (132, 262): 130, (132, 390): 67, (262, 390): 6}),
+    (8, 5): None,
+    (10, 3): ((0, 202, 402), {(0, 202): 200, (0, 402): 100, (202, 402): 2}),
+    (10, 4): ((0, 204, 406, 606), {(0, 204): 400, (0, 406): 300, (0, 606): 200,
+                                   (204, 406): 202, (204, 606): 103, (406, 606): 6}),
+    (10, 5): ((0, 206, 410, 612, 812), {
+        (0, 206): 600, (0, 410): 500, (0, 612): 400, (0, 812): 300, (206, 410): 402,
+        (206, 612): 303, (206, 812): 204, (410, 612): 206, (410, 812): 108, (612, 812): 12}),
+}
+
+
+@pytest.mark.parametrize("n, k", sorted(PINNED_SEARCHES), ids=lambda v: str(v))
+def test_grid_search_results_are_pinned(n, k):
+    arr = grid_construction(n)
+    result = find_complete_tuple(arr, PipelineConfig(k=k, c=measured_density(arr)))
+    if PINNED_SEARCHES[n, k] is None:
+        assert isinstance(result, NotFoundReport)
+    else:
+        assert (result.point_indices, result.connecting_lines) == PINNED_SEARCHES[n, k]
 
 
 def joining(arr, p, q):
