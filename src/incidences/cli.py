@@ -47,6 +47,14 @@ class InvalidParamsError(ValueError):
     pass
 
 
+def _check_config_echo(config_echo: dict) -> None:
+    """Exit 2 before any work if the echo has an int past the int-to-str digit limit."""
+    try:
+        repr(config_echo)   # turns ints into text as the writer does
+    except ValueError as exc:
+        raise InvalidParamsError(f"configuration cannot be written: {exc}") from exc
+
+
 def _parse_fraction(text: str, what: str) -> Fraction:
     try:
         return Fraction(text)
@@ -173,6 +181,8 @@ def cmd_analyze(args) -> int:
     constant = _parse_fraction(args.st_constant, "--st-constant")
     if constant <= 0:
         raise InvalidParamsError("--st-constant must be positive")
+    config_echo = {"st_constant": rational_to_pair(constant)}
+    _check_config_echo(config_echo)
     rows = st_bound_report(arr, constant)
     monitor = de_caen_szekely_monitor(arr)
     if not monitor.conjecture_holds:
@@ -188,15 +198,18 @@ def cmd_analyze(args) -> int:
     if args.format == "csv":
         lines = ["m,lines_exactly_m,lines_at_least_m,bound_numerator,bound_denominator,within_bound"]
         hist = dict(incidence_stats(arr).richness_histogram)
-        for row in rows:
-            lines.append(f"{row.m},{hist.get(row.m, 0)},{row.rich_count},"
-                         f"{row.bound_value.numerator},{row.bound_value.denominator},"
-                         f"{str(row.within_bound).lower()}")
+        try:
+            for row in rows:
+                lines.append(f"{row.m},{hist.get(row.m, 0)},{row.rich_count},"
+                             f"{row.bound_value.numerator},{row.bound_value.denominator},"
+                             f"{str(row.within_bound).lower()}")
+        except ValueError as exc:   # a bound past the int-to-str digit limit
+            raise InvalidParamsError(f"bound cannot be written: {exc}") from exc
         _write_text(args.output, "\n".join(lines) + "\n")
         return EXIT_OK
     report = {
         "command": "analyze",
-        "config": {"st_constant": rational_to_pair(constant)},
+        "config": config_echo,
         "statistics": _stats_payload(arr),
         "st_bound_report": [
             {"m": row.m, "rich_count": row.rich_count,
@@ -296,16 +309,11 @@ def cmd_theorem1(args) -> int:
             raise InvalidParamsError("cannot infer a positive density from this arrangement")
     else:
         c = _parse_fraction(args.c, "--c")
-    if c <= 0:
-        raise InvalidParamsError("--c must be positive")
-    if args.k < 3:
-        raise InvalidParamsError("--k must be >= 3")
     try:
         cfg = PipelineConfig(
             k=args.k, c=c,
             beta_k=_parse_fraction(args.beta_k, "--beta-k") if args.beta_k else None,
             multiplicity_threshold=args.threshold,
-            rich_threshold_slack=_parse_fraction(args.slack, "--slack"),
             fallback_cells=args.fallback_cells,
         )
     except ValueError as exc:
@@ -313,13 +321,7 @@ def cmd_theorem1(args) -> int:
     config_echo = {name: rational_to_pair(v) if isinstance(v, Fraction) else v
                    for name, v in asdict(cfg).items()}
     if args.format == "json":
-        # The report echoes the configuration.  repr turns its ints into text
-        # as the writer does, so a numerator or denominator past the
-        # int-to-str digit limit exits 2 here, before the search.
-        try:
-            repr(config_echo)
-        except ValueError as exc:
-            raise InvalidParamsError(f"configuration cannot be written: {exc}") from exc
+        _check_config_echo(config_echo)
     result = find_complete_tuple(arr, cfg)
     found = isinstance(result, CompleteTupleCertificate)
     if found:
@@ -332,10 +334,10 @@ def cmd_theorem1(args) -> int:
             for pair, li in sorted(result.connecting_lines.items()):
                 lines.append(f"{pair[0]},{pair[1]},{li},{result.locality[pair]}")
         else:
-            lines = ["cell_index,floor_sum,pairable_lines,segments,certified"]
+            lines = ["cell_index,floor_sum,pairable_lines,certified"]
             for a in result.attempts:
                 lines.append(f"{a.cell_index},{a.floor_sum},{a.pairable_lines},"
-                             f"{a.segments},{str(a.certified).lower()}")
+                             f"{str(a.certified).lower()}")
         _write_text(args.output, "\n".join(lines) + "\n")
         return EXIT_OK if found else EXIT_NOT_FOUND
     report = {
@@ -444,7 +446,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="incidence density constant (exact rational, or 'auto' to measure)")
     t.add_argument("--beta-k", dest="beta_k", help="override the partition constant")
     t.add_argument("--threshold", type=int, help="override the multiplicity threshold")
-    t.add_argument("--slack", default="2", help="rich-line slack multiplier")
     t.add_argument("--fallback-cells", dest="fallback_cells", type=int, default=8)
     common(t)
     t.set_defaults(func=cmd_theorem1)

@@ -5,7 +5,7 @@ general position such that every pair is joined by an arrangement line, and
 certify the result.  The search:
 
   1. partitions the points into balanced cells with r ~ beta * n^(2/3),
-  2. picks the cell maximizing the floor-sum  sum_lines floor(|cell on line| / k),
+  2. ranks the cells by the floor-sum  sum_lines floor(|cell on line| / k),
   3. breaks each line's cell points into disjoint runs of k consecutive
      points ("segment lines"), which keeps the output local; steps 2 and 3
      read the same cell membership (which cell points lie on which line),
@@ -51,23 +51,18 @@ class PipelineConfig:
     ``beta_k`` defaults to c/(2k); the partition parameter becomes
     r = clamp(ceil(beta_k * n^(2/3)), 1, n).  ``multiplicity_threshold``
     defaults to max(ceil(100/c), k); lines holding more cell points than that
-    are not used.  Lines with fewer than ``rich_threshold_slack`` * sqrt(r) * k
-    incidences are ignored when ranking cells; if that filter leaves every
-    cell with floor-sum zero, ranking falls back to all lines (small instances
-    never qualify as rich in the asymptotic sense).
+    are not used.  Up to ``fallback_cells`` cells are tried, in the order of
+    ``rank_cells``.
     """
 
     k: int
     c: Fraction
     beta_k: Fraction | None = None
     multiplicity_threshold: int | None = None
-    rich_threshold_slack: Fraction = Fraction(2)
     fallback_cells: int = 8
 
     def __post_init__(self):
         object.__setattr__(self, "c", Fraction(as_rational(self.c)))
-        object.__setattr__(self, "rich_threshold_slack",
-                           Fraction(as_rational(self.rich_threshold_slack)))
         if self.k < 3:
             raise ValueError("k must be >= 3")
         if self.c <= 0:
@@ -84,8 +79,6 @@ class PipelineConfig:
                                max(ceil_100_over_c, self.k))
         if self.multiplicity_threshold < self.k:
             raise ValueError("multiplicity_threshold must be >= k")
-        if self.rich_threshold_slack < 0:
-            raise ValueError("rich_threshold_slack must be >= 0")
         if self.fallback_cells < 1:
             raise ValueError("fallback_cells must be >= 1")
 
@@ -127,7 +120,6 @@ class CellAttempt:
     cell_index: int
     floor_sum: int
     pairable_lines: int
-    segments: int
     dual_edges: int
     certified: bool
 
@@ -142,7 +134,6 @@ class NotFoundReport:
     n_lines: int
     n_incidences: int
     density_ok: bool
-    accounting_mode: str
     attempts: tuple[CellAttempt, ...]
 
 
@@ -155,27 +146,24 @@ def _cell_lines(arr: Arrangement, cell: PartitionCell) -> dict[int, list[int]]:
     return out
 
 
-def rank_cells(arr: Arrangement, pr: PartitionResult, k: int,
-               eligible_lines: set[int] | None = None) -> list[RichCellReport]:
+def rank_cells(arr: Arrangement, pr: PartitionResult, k: int) -> list[RichCellReport]:
     """Every cell by decreasing per-line floor-sum, ties to the lowest index.
 
     A cell's floor-sum is  sum_lines floor(|cell points on line| / k)  over
-    the eligible lines (all lines when ``eligible_lines`` is None).  The top
-    cell's floor-sum is at least the average over all cells; this pigeonhole
-    fact is asserted exactly.
+    every line, so the floor-sums of all cells add up to the total that
+    ``inequality_audit`` checks.  The top cell's floor-sum is at least the
+    average over all cells; this pigeonhole fact is asserted exactly.
     """
-    return _rank([_cell_lines(arr, cell) for cell in pr.cells], k, eligible_lines)
+    return _rank([_cell_lines(arr, cell) for cell in pr.cells], k)
 
 
-def _rank(memberships: list[dict[int, list[int]]], k: int,
-          eligible_lines: set[int] | None = None) -> list[RichCellReport]:
+def _rank(memberships: list[dict[int, list[int]]], k: int) -> list[RichCellReport]:
     """``rank_cells`` over each cell's ``_cell_lines``, given in cell order."""
     if k < 1:
         raise ValueError("k must be >= 1")
     reports = []
     for ci, by_line in enumerate(memberships):
-        per_line = {li: len(members) for li, members in sorted(by_line.items())
-                    if eligible_lines is None or li in eligible_lines}
+        per_line = {li: len(members) for li, members in sorted(by_line.items())}
         reports.append(RichCellReport(ci, sum(cnt // k for cnt in per_line.values()), per_line))
     reports.sort(key=lambda rep: -rep.floor_sum)
     total = sum(rep.floor_sum for rep in reports)
@@ -279,7 +267,6 @@ def _attempt_cell(arr: Arrangement, cell: PartitionCell, cell_lines: dict[int, l
     for members in by_line.values():
         members.sort(key=lambda pi: (arr.points[pi].x, arr.points[pi].y))
     runs_on = _runs(by_line, cfg.k)
-    segments = sum(len(runs) for runs in runs_on.values())
     sub_point_idx = sorted(cell.point_indices)
     vertex = {pi: i for i, pi in enumerate(sub_point_idx)}
     edges: dict[tuple[int, int], int] = {}
@@ -293,8 +280,7 @@ def _attempt_cell(arr: Arrangement, cell: PartitionCell, cell_lines: dict[int, l
 
     clique = _first_general_position_clique([arr.points[pi] for pi in sub_point_idx],
                                             edges, cfg.k)
-    attempt = CellAttempt(cell_index, floor_sum, len(by_line), segments,
-                          len(edges), clique is not None)
+    attempt = CellAttempt(cell_index, floor_sum, len(by_line), len(edges), clique is not None)
     if clique is None:
         return None, attempt
     point_indices = tuple(sub_point_idx[v] for v in clique)
@@ -334,22 +320,10 @@ def find_complete_tuple(arr: Arrangement,
                        inc, c_text, n)
     r = max(1, min(n, ceil_scaled_pow23(n, cfg.beta_k))) if n else 1
     pr = partition(arr.points, r)
-
-    # Slack filter: a line is "rich" when inc(line) >= slack * sqrt(r) * k,
-    # compared exactly via squares.
-    slack = cfg.rich_threshold_slack
-    eligible = {li for li in range(arr.n_lines)
-                if (len(arr.points_on_line(li)) * slack.denominator)**2
-                >= (slack.numerator * cfg.k)**2 * r}
-    # Both rankings and every attempt read one membership per cell; only the
+    # The ranking and every attempt read one membership per cell; only the
     # tried cells' memberships are kept past the ranking.
     memberships = [_cell_lines(arr, cell) for cell in pr.cells]
-    mode = "rich-lines"
-    ranking = _rank(memberships, cfg.k, eligible) if eligible else []
-    if not ranking or ranking[0].floor_sum == 0:
-        mode = "all-lines"
-        ranking = _rank(memberships, cfg.k)
-    ranking = ranking[:cfg.fallback_cells]
+    ranking = _rank(memberships, cfg.k)[:cfg.fallback_cells]
     memberships = {rep.cell_index: memberships[rep.cell_index] for rep in ranking}
 
     attempts: list[CellAttempt] = []
@@ -360,7 +334,7 @@ def find_complete_tuple(arr: Arrangement,
         attempts.append(attempt)
         if cert is not None:
             return cert
-    return NotFoundReport(r, pr.t, n, arr.n_lines, inc, density_ok, mode, tuple(attempts))
+    return NotFoundReport(r, pr.t, n, arr.n_lines, inc, density_ok, tuple(attempts))
 
 
 @dataclass(frozen=True)

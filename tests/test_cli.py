@@ -1,12 +1,15 @@
 """Command-line surface: documents, reports, exit codes, determinism."""
 
+import argparse
 import copy
 import json
 import os
 import random
+import re
 import stat
 import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -14,7 +17,7 @@ from hypothesis import strategies as st
 
 from incidences import Arrangement, Line, Point, grid_construction, spanned_lines
 from incidences import cli
-from incidences.cli import _write_text, main, random_arrangement
+from incidences.cli import _write_text, build_parser, main, random_arrangement
 from incidences.documents import (DocumentError, arrangement_from_document,
                                   arrangement_to_document, dumps_canonical,
                                   loads_document, pair_to_rational,
@@ -266,15 +269,15 @@ class TestTheorem1Command:
         report = json.loads(out.read_text())
         assert set(report) == {"command", "config", "statistics", "result", "metadata"}
         assert set(report["config"]) == {"k", "c", "beta_k", "multiplicity_threshold",
-                                         "rich_threshold_slack", "fallback_cells"}
+                                         "fallback_cells"}
         assert set(report["result"]) == {"status", "report"}
         not_found = report["result"]["report"]
         assert set(not_found) == {"r", "t", "n_points", "n_lines", "n_incidences",
-                                  "density_ok", "accounting_mode", "attempts"}
+                                  "density_ok", "attempts"}
         assert not_found["attempts"]
         for attempt in not_found["attempts"]:
             assert set(attempt) == {"cell_index", "floor_sum", "pairable_lines",
-                                    "segments", "dual_edges", "certified"}
+                                    "dual_edges", "certified"}
 
     def test_csv_certificate(self, tmp_path):
         doc = write_doc(tmp_path / "g3.json", grid_construction(3))
@@ -318,10 +321,8 @@ class TestArgumentErrors:
 
     @pytest.mark.parametrize("options", [
         ["--c", "1e5000"], ["--c", "1e-5000"], ["--c", "1", "--beta-k", "1e5000"],
-        ["--c", "1", "--beta-k", "1e-5000"], ["--c", "1", "--slack", "1e5000"],
-        ["--c", "1", "--slack", "1e-5000"],
-    ], ids=["c", "c-denominator", "beta-k", "beta-k-denominator", "slack",
-            "slack-denominator"])
+        ["--c", "1", "--beta-k", "1e-5000"],
+    ], ids=["c", "c-denominator", "beta-k", "beta-k-denominator"])
     def test_config_past_the_digit_limit_exits_2_before_the_search(
             self, tmp_path, capsys, monkeypatch, options):
         """The report echoes the configuration, so a numerator or denominator
@@ -336,6 +337,45 @@ class TestArgumentErrors:
         assert err.startswith("error:") and "Traceback" not in err
         assert searched == []
         assert os.listdir(tmp_path) == ["g2.json"]
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("constant, refused_before_the_census", [
+        ("1e5000", True), ("1e-5000", True), ("1e4299", False),
+    ])
+    def test_analyze_constant_past_the_digit_limit_exits_2(
+            self, tmp_path, capsys, monkeypatch, fmt, constant, refused_before_the_census):
+        """The JSON report echoes --st-constant and both formats write its
+        bounds: a constant past the int-to-str digit limit is refused before
+        the census, and a bound past it (1e4299 times 2112) when written."""
+        censused = []
+        real_st_bound_report = cli.st_bound_report
+
+        def st_bound_report(*args):
+            censused.append(args)
+            return real_st_bound_report(*args)
+        monkeypatch.setattr(cli, "st_bound_report", st_bound_report)
+        doc = write_doc(tmp_path / "g4.json", grid_construction(4))
+        argv = ["analyze", "--input", doc, "--st-constant", constant, "--format", fmt,
+                "--output", str(tmp_path / "out")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert (censused == []) == refused_before_the_census
+        assert os.listdir(tmp_path) == ["g4.json"]
+
+
+class TestReadme:
+    def test_theorem1_options_paragraph_names_every_option(self):
+        """The README's theorem1 options paragraph names every option of the
+        subparser beyond the ones its usage example shows."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        paragraph = readme.split("`theorem1` options:", 1)[1].split("\n\n", 1)[0]
+        documented = set(re.findall(r"`(--[a-z][a-z-]*)`", paragraph))
+        subparsers = next(action for action in build_parser()._actions
+                          if isinstance(action, argparse._SubParsersAction))
+        options = {option for action in subparsers.choices["theorem1"]._actions
+                   for option in action.option_strings if option not in ("-h", "--help")}
+        assert options == documented | {"--input", "--k", "--c", "--output", "--format"}
 
 
 class TestAtomicWrite:

@@ -15,6 +15,7 @@ from incidences import (Arrangement, CompleteTupleCertificate, Line,
                         multiplicity_filter, partition, rank_cells,
                         revalidate_certificate, shear, spanned_lines)
 from incidences import pipeline
+from incidences.cli import random_arrangement
 from conftest import pair_joined
 
 
@@ -23,7 +24,7 @@ class TestPipelineConfig:
         cfg = PipelineConfig(k=3, c=Fraction(1, 2))
         assert cfg.beta_k == Fraction(1, 12)
         assert cfg.multiplicity_threshold == 200
-        assert cfg.rich_threshold_slack == 2
+        assert cfg.fallback_cells == 8
 
     def test_threshold_never_below_k(self):
         cfg = PipelineConfig(k=5, c=Fraction(100))
@@ -69,12 +70,6 @@ class TestSelectRichCell:
         for li, cnt in report.per_line_counts.items():
             members = [i for i in arr.points_on_line(li) if i in cell]
             assert len(members) == cnt
-
-    def test_eligible_filter_restricts_accounting(self, grid3x3):
-        pr = partition(grid3x3.points, 1)
-        full = rank_cells(grid3x3, pr, 3)[0]
-        nothing = rank_cells(grid3x3, pr, 3, eligible_lines=set())[0]
-        assert nothing.floor_sum == 0 <= full.floor_sum
 
     def test_ranks_every_cell_by_floor_sum_then_index(self):
         rng = random.Random(1)
@@ -306,16 +301,30 @@ class TestSearchSharesLibrarySteps:
         cfg = PipelineConfig(k=4, c=measured_density(arr))
         report = find_complete_tuple(arr, cfg)
         assert isinstance(report, NotFoundReport)
-        assert report.accounting_mode == "all-lines"
-        ranking = rank_cells(arr, partition(arr.points, report.r), cfg.k)
+        pr = partition(arr.points, report.r)
+        ranking = rank_cells(arr, pr, cfg.k)
         assert [(a.cell_index, a.floor_sum) for a in report.attempts] == \
             [(rep.cell_index, rep.floor_sum) for rep in ranking[:cfg.fallback_cells]]
-        # Ranking and search read the same membership: over all lines, each
-        # floor(|cell on line| / k) is one line's run count.
-        assert all(a.segments == a.floor_sum for a in report.attempts)
+        # Each attempt's floor-sum counts every line: it is the cell's number
+        # of k-point runs, recomputed here from its membership.
+        for a in report.attempts:
+            by_line = pipeline._cell_lines(arr, pr.cells[a.cell_index])
+            assert a.floor_sum == sum(len(members) // cfg.k for members in by_line.values())
+
+    def test_lines_with_few_points_count_in_the_ranking(self):
+        """Every line counts toward a cell's floor-sum, however few points it
+        holds: the one cell's floor-sum is the audited total, all 13 of its
+        k-point runs, though only 4 of them lie on lines holding >= 2k points."""
+        arr = random_arrangement(2, 153, 81, 30)
+        cfg = PipelineConfig(k=4, c=measured_density(arr))
+        report = find_complete_tuple(arr, cfg)
+        assert isinstance(report, NotFoundReport)
+        assert [(a.cell_index, a.floor_sum) for a in report.attempts] == [(0, 13)]
+        audit = inequality_audit(arr, partition(arr.points, report.r), cfg)
+        assert audit.floor_sum_total == 13
 
     def test_each_cell_membership_is_built_once(self, monkeypatch, grid3x3):
-        """Both rankings and every attempt read one ``_cell_lines`` per cell."""
+        """The one ranking and every attempt read one ``_cell_lines`` per cell."""
         built, rankings = [], []
         real_cell_lines, real_rank = pipeline._cell_lines, pipeline._rank
 
@@ -323,17 +332,16 @@ class TestSearchSharesLibrarySteps:
             built.append(cell.point_indices)
             return real_cell_lines(arr, cell)
 
-        def rank(memberships, k, eligible_lines=None):
-            rankings.append(eligible_lines)
-            return real_rank(memberships, k, eligible_lines)
+        def rank(memberships, k):
+            rankings.append(len(memberships))
+            return real_rank(memberships, k)
         monkeypatch.setattr(pipeline, "_cell_lines", cell_lines)
         monkeypatch.setattr(pipeline, "_rank", rank)
-        cfg = PipelineConfig(k=3, c=1, beta_k=2, rich_threshold_slack=Fraction(1, 4))
+        cfg = PipelineConfig(k=3, c=1, beta_k=2)
         report = find_complete_tuple(grid3x3, cfg)
-        # The rich-line ranking had floor-sum 0 everywhere, so all lines were
-        # ranked too, and every cell was attempted.
-        assert isinstance(report, NotFoundReport) and report.accounting_mode == "all-lines"
-        assert len(rankings) == 2 and rankings[0] and rankings[1] is None
+        # No cell has a tuple, so every cell was attempted.
+        assert isinstance(report, NotFoundReport)
+        assert rankings == [report.t]
         assert len(report.attempts) == report.t == 5
         cells = partition(grid3x3.points, report.r).cells
         assert sorted(built) == sorted(cell.point_indices for cell in cells)
