@@ -25,9 +25,7 @@ from fractions import Fraction
 from . import __version__
 from .arrangement import (Arrangement, FewerThanTwoPointsError, grid_construction,
                           incidence_stats, measured_density, spanned_lines, st_bound_report)
-# count_triangles is not called here (analyze reads monitor.triangles) but stays
-# importable from this module: bench/selftest.py patches it as cli.count_triangles.
-from .cliques import count_triangles, de_caen_szekely_monitor  # noqa: F401
+from .cliques import de_caen_szekely_monitor
 from .documents import (DocumentError, arrangement_from_document,
                         arrangement_to_document, dumps_canonical, loads_document,
                         rational_to_pair)
@@ -184,6 +182,10 @@ def cmd_analyze(args) -> int:
     config_echo = {"st_constant": rational_to_pair(constant)}
     _check_config_echo(config_echo)
     rows = st_bound_report(arr, constant)
+    try:   # a bound past the int-to-str digit limit, refused before the triangle count
+        bounds = [f"{row.bound_value.numerator},{row.bound_value.denominator}" for row in rows]
+    except ValueError as exc:
+        raise InvalidParamsError(f"bound cannot be written: {exc}") from exc
     monitor = de_caen_szekely_monitor(arr)
     if not monitor.conjecture_holds:
         path = (args.output or "analyze") + ".counterexample.json"
@@ -198,13 +200,9 @@ def cmd_analyze(args) -> int:
     if args.format == "csv":
         lines = ["m,lines_exactly_m,lines_at_least_m,bound_numerator,bound_denominator,within_bound"]
         hist = dict(incidence_stats(arr).richness_histogram)
-        try:
-            for row in rows:
-                lines.append(f"{row.m},{hist.get(row.m, 0)},{row.rich_count},"
-                             f"{row.bound_value.numerator},{row.bound_value.denominator},"
-                             f"{str(row.within_bound).lower()}")
-        except ValueError as exc:   # a bound past the int-to-str digit limit
-            raise InvalidParamsError(f"bound cannot be written: {exc}") from exc
+        for row, bound in zip(rows, bounds):
+            lines.append(f"{row.m},{hist.get(row.m, 0)},{row.rich_count},{bound},"
+                         f"{str(row.within_bound).lower()}")
         _write_text(args.output, "\n".join(lines) + "\n")
         return EXIT_OK
     report = {
@@ -313,7 +311,6 @@ def cmd_theorem1(args) -> int:
         cfg = PipelineConfig(
             k=args.k, c=c,
             beta_k=_parse_fraction(args.beta_k, "--beta-k") if args.beta_k else None,
-            multiplicity_threshold=args.threshold,
             fallback_cells=args.fallback_cells,
         )
     except ValueError as exc:
@@ -445,7 +442,6 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--c", required=True,
                    help="incidence density constant (exact rational, or 'auto' to measure)")
     t.add_argument("--beta-k", dest="beta_k", help="override the partition constant")
-    t.add_argument("--threshold", type=int, help="override the multiplicity threshold")
     t.add_argument("--fallback-cells", dest="fallback_cells", type=int, default=8)
     common(t)
     t.set_defaults(func=cmd_theorem1)

@@ -8,7 +8,8 @@ certify the result.  The search:
   2. ranks the cells by the floor-sum  sum_lines floor(|cell on line| / k),
   3. breaks each line's cell points into disjoint runs of k consecutive
      points ("segment lines"), which keeps the output local; steps 2 and 3
-     read the same cell membership (which cell points lie on which line),
+     read the same cell membership (which cell points lie on which line, in
+     order along it),
   4. reads the cell's joined-pair graph off the incidence index (one vertex
      per cell point, each edge labelled with the arrangement line through its
      two points, only pairs inside one run on lines holding >= k) and takes
@@ -49,16 +50,13 @@ class PipelineConfig:
     """Search parameters.
 
     ``beta_k`` defaults to c/(2k); the partition parameter becomes
-    r = clamp(ceil(beta_k * n^(2/3)), 1, n).  ``multiplicity_threshold``
-    defaults to max(ceil(100/c), k); lines holding more cell points than that
-    are not used.  Up to ``fallback_cells`` cells are tried, in the order of
-    ``rank_cells``.
+    r = clamp(ceil(beta_k * n^(2/3)), 1, n).  Up to ``fallback_cells`` cells
+    are tried, in the order of ``rank_cells``.
     """
 
     k: int
     c: Fraction
     beta_k: Fraction | None = None
-    multiplicity_threshold: int | None = None
     fallback_cells: int = 8
 
     def __post_init__(self):
@@ -73,12 +71,6 @@ class PipelineConfig:
             object.__setattr__(self, "beta_k", Fraction(as_rational(self.beta_k)))
         if self.beta_k <= 0:
             raise ValueError("beta_k must be positive")
-        if self.multiplicity_threshold is None:
-            ceil_100_over_c = -(-100 * self.c.denominator // self.c.numerator)
-            object.__setattr__(self, "multiplicity_threshold",
-                               max(ceil_100_over_c, self.k))
-        if self.multiplicity_threshold < self.k:
-            raise ValueError("multiplicity_threshold must be >= k")
         if self.fallback_cells < 1:
             raise ValueError("fallback_cells must be >= 1")
 
@@ -87,7 +79,6 @@ class PipelineConfig:
 class RichCellReport:
     cell_index: int
     floor_sum: int
-    per_line_counts: Mapping[int, int]  # line index -> |cell points on line|, nonzero only
 
 
 @dataclass(frozen=True)
@@ -138,16 +129,20 @@ class NotFoundReport:
 
 
 def _cell_lines(arr: Arrangement, cell: PartitionCell) -> dict[int, list[int]]:
-    """line index -> the cell points on it, in ascending point index."""
+    """line index -> the cell points on it, ordered along the line.
+
+    The points are visited in (x, y) order, so each list is in x order, or in
+    y order on a vertical line.
+    """
     out: dict[int, list[int]] = {}
-    for pi in sorted(cell.point_indices):
+    for pi in sorted(cell.point_indices, key=lambda pi: (arr.points[pi].x, arr.points[pi].y)):
         for li in arr.lines_through_point(pi):
             out.setdefault(li, []).append(pi)
     return out
 
 
 def rank_cells(arr: Arrangement, pr: PartitionResult, k: int) -> list[RichCellReport]:
-    """Every cell by decreasing per-line floor-sum, ties to the lowest index.
+    """Every cell by decreasing floor-sum, ties to the lowest index.
 
     A cell's floor-sum is  sum_lines floor(|cell points on line| / k)  over
     every line, so the floor-sums of all cells add up to the total that
@@ -161,10 +156,8 @@ def _rank(memberships: list[dict[int, list[int]]], k: int) -> list[RichCellRepor
     """``rank_cells`` over each cell's ``_cell_lines``, given in cell order."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    reports = []
-    for ci, by_line in enumerate(memberships):
-        per_line = {li: len(members) for li, members in sorted(by_line.items())}
-        reports.append(RichCellReport(ci, sum(cnt // k for cnt in per_line.values()), per_line))
+    reports = [RichCellReport(ci, sum(len(members) // k for members in by_line.values()))
+               for ci, by_line in enumerate(memberships)]
     reports.sort(key=lambda rep: -rep.floor_sum)
     total = sum(rep.floor_sum for rep in reports)
     assert not reports or reports[0].floor_sum * len(reports) >= total, "pigeonhole violated"
@@ -251,28 +244,21 @@ def _attempt_cell(arr: Arrangement, cell: PartitionCell, cell_lines: dict[int, l
                   ) -> tuple[CompleteTupleCertificate | None, CellAttempt]:
     """Search one cell's joined-pair graph for k points in general position.
 
-    ``cell_lines`` is the cell's ``_cell_lines``, whose lists this reorders
-    along their lines.  Vertex i is the i-th cell point in index order; edge
-    (i, j) is labelled with the index of the arrangement line through both.
-    Lines holding more than ``multiplicity_threshold`` cell points are not
-    used; on a line holding >= k, only pairs inside one k-point run are, which
-    keeps the final tuple local.  The first clique with no ``collinear``
-    triple wins: three points are collinear exactly when their dual lines
-    fail ``degenerate_filter``, so this is the dual line search done in the
-    primal.
+    ``cell_lines`` is the cell's ``_cell_lines``.  Vertex i is the i-th cell
+    point in index order; edge (i, j) is labelled with the index of the
+    arrangement line through both.  On a line holding >= k cell points, only
+    pairs inside one k-point run are used, which keeps the final tuple local.
+    The first clique with no ``collinear`` triple wins: three points are
+    collinear exactly when their dual lines fail ``degenerate_filter``, so
+    this is the dual line search done in the primal.
     """
-    # line -> its cell points (>= 2 of them), ordered along the line; the
-    # lists are sorted in place, as nothing reads them in index order again.
+    # line -> its cell points (>= 2 of them), ordered along the line.
     by_line = {li: members for li, members in sorted(cell_lines.items()) if len(members) >= 2}
-    for members in by_line.values():
-        members.sort(key=lambda pi: (arr.points[pi].x, arr.points[pi].y))
     runs_on = _runs(by_line, cfg.k)
-    sub_point_idx = sorted(cell.point_indices)
+    sub_point_idx = cell.point_indices
     vertex = {pi: i for i, pi in enumerate(sub_point_idx)}
     edges: dict[tuple[int, int], int] = {}
     for li, members in by_line.items():
-        if len(members) > cfg.multiplicity_threshold:
-            continue
         for group in runs_on.get(li, [members]):
             for u, v in combinations(sorted(vertex[pi] for pi in group), 2):
                 assert (u, v) not in edges, "two distinct lines crossing twice"

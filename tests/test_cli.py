@@ -268,8 +268,7 @@ class TestTheorem1Command:
                      "--output", str(out)]) == 3
         report = json.loads(out.read_text())
         assert set(report) == {"command", "config", "statistics", "result", "metadata"}
-        assert set(report["config"]) == {"k", "c", "beta_k", "multiplicity_threshold",
-                                         "fallback_cells"}
+        assert set(report["config"]) == {"k", "c", "beta_k", "fallback_cells"}
         assert set(report["result"]) == {"status", "report"}
         not_found = report["result"]["report"]
         assert set(not_found) == {"r", "t", "n_points", "n_lines", "n_incidences",
@@ -346,14 +345,16 @@ class TestArgumentErrors:
             self, tmp_path, capsys, monkeypatch, fmt, constant, refused_before_the_census):
         """The JSON report echoes --st-constant and both formats write its
         bounds: a constant past the int-to-str digit limit is refused before
-        the census, and a bound past it (1e4299 times 2112) when written."""
-        censused = []
+        the census, and a bound past it (1e4299 times 2112) right after the
+        bounds are computed, before the triangle count."""
+        censused, monitored = [], []
         real_st_bound_report = cli.st_bound_report
 
         def st_bound_report(*args):
             censused.append(args)
             return real_st_bound_report(*args)
         monkeypatch.setattr(cli, "st_bound_report", st_bound_report)
+        monkeypatch.setattr(cli, "de_caen_szekely_monitor", lambda *a: monitored.append(a))
         doc = write_doc(tmp_path / "g4.json", grid_construction(4))
         argv = ["analyze", "--input", doc, "--st-constant", constant, "--format", fmt,
                 "--output", str(tmp_path / "out")]
@@ -361,6 +362,7 @@ class TestArgumentErrors:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
         assert (censused == []) == refused_before_the_census
+        assert monitored == []
         assert os.listdir(tmp_path) == ["g4.json"]
 
 

@@ -12,8 +12,8 @@ from incidences import (Arrangement, CompleteTupleCertificate, Line,
                         collinear, dualize, find_complete_tuple,
                         generic_shear_value, grid_construction, incident,
                         inequality_audit, locality_counts, measured_density,
-                        multiplicity_filter, partition, rank_cells,
-                        revalidate_certificate, shear, spanned_lines)
+                        partition, rank_cells, revalidate_certificate, shear,
+                        spanned_lines)
 from incidences import pipeline
 from incidences.cli import random_arrangement
 from conftest import pair_joined
@@ -23,20 +23,13 @@ class TestPipelineConfig:
     def test_defaults(self):
         cfg = PipelineConfig(k=3, c=Fraction(1, 2))
         assert cfg.beta_k == Fraction(1, 12)
-        assert cfg.multiplicity_threshold == 200
         assert cfg.fallback_cells == 8
-
-    def test_threshold_never_below_k(self):
-        cfg = PipelineConfig(k=5, c=Fraction(100))
-        assert cfg.multiplicity_threshold == 5
 
     def test_validation(self):
         with pytest.raises(ValueError):
             PipelineConfig(k=2, c=1)
         with pytest.raises(ValueError):
             PipelineConfig(k=3, c=0)
-        with pytest.raises(ValueError):
-            PipelineConfig(k=3, c=1, multiplicity_threshold=2)
         with pytest.raises(ValueError):
             PipelineConfig(k=3, c=1, fallback_cells=0)
 
@@ -50,7 +43,8 @@ class TestSelectRichCell:
         assert report.cell_index == 0
         # 8 lines carry 3 points, 12 lines carry 2: floor sum = 8.
         assert report.floor_sum == 8
-        assert sum(report.per_line_counts.values()) == grid3x3.n_incidences
+        by_line = pipeline._cell_lines(grid3x3, pr.cells[0])
+        assert sum(len(members) for members in by_line.values()) == grid3x3.n_incidences
 
     def test_concentrated_rich_line_wins(self):
         rich_pts = [Point(x, 0) for x in range(9)]
@@ -67,9 +61,10 @@ class TestSelectRichCell:
         pr = partition(arr.points, 4)
         report = rank_cells(arr, pr, 3)[0]
         cell = set(pr.cells[report.cell_index].point_indices)
-        for li, cnt in report.per_line_counts.items():
-            members = [i for i in arr.points_on_line(li) if i in cell]
-            assert len(members) == cnt
+        by_line = pipeline._cell_lines(arr, pr.cells[report.cell_index])
+        for li, members in by_line.items():
+            assert len(members) == sum(1 for i in arr.points_on_line(li) if i in cell)
+        assert report.floor_sum == sum(len(members) // 3 for members in by_line.values())
 
     def test_ranks_every_cell_by_floor_sum_then_index(self):
         rng = random.Random(1)
@@ -105,13 +100,33 @@ class TestBreakIntoSegments:
         return made[0]
 
     def test_cell_lines_is_the_membership(self):
-        arr = spanned_lines([(x, y) for x in range(4) for y in range(3)])
+        """Each cell's lines and their cell points, in (x, y) order."""
+        xy = [(x, y) for x in range(4) for y in range(3)]
+        random.Random(5).shuffle(xy)
+        arr = spanned_lines(xy)
         for cell in partition(arr.points, 3).cells:
             members = set(cell.point_indices)
-            expected = {li: [i for i in sorted(arr.points_on_line(li)) if i in members]
+            expected = {li: sorted((i for i in arr.points_on_line(li) if i in members),
+                                   key=lambda i: (arr.points[i].x, arr.points[i].y))
                         for li in range(arr.n_lines)}
             assert pipeline._cell_lines(arr, cell) == \
                 {li: on for li, on in expected.items() if on}
+
+    def test_cell_lines_run_along_each_line_on_a_shuffled_lattice(self):
+        """Index order is not (x, y) order here, yet every line's list runs
+        along the line: x ascending, or y ascending on a vertical line."""
+        xy = [(x, y) for x in range(5) for y in range(4)]
+        random.Random(3).shuffle(xy)
+        arr = spanned_lines(xy)
+        cell = partition(arr.points, 1).cells[0]
+        by_line = pipeline._cell_lines(arr, cell)
+        assert set(by_line) == set(range(arr.n_lines))
+        assert any(members != sorted(members) for members in by_line.values())
+        for li, members in by_line.items():
+            assert sorted(members) == sorted(arr.points_on_line(li))
+            vertical = arr.lines[li].b == 0
+            coords = [arr.points[i].y if vertical else arr.points[i].x for i in members]
+            assert coords == sorted(coords) and len(set(coords)) == len(coords)
 
     def test_exactly_k_points_one_segment(self, monkeypatch):
         pts = [Point(x, 0) for x in range(3)]
@@ -346,18 +361,18 @@ class TestSearchSharesLibrarySteps:
         cells = partition(grid3x3.points, report.r).cells
         assert sorted(built) == sorted(cell.point_indices for cell in cells)
 
-    @pytest.mark.parametrize("arr, k, threshold, sheared", [
-        (grid_construction(4), 3, None, False),
-        (grid_construction(5), 5, None, False),
-        (spanned_lines([(x, y) for x in range(5) for y in range(5)]), 3, None, True),
-        (spanned_lines([(x, y) for x in range(5) for y in range(10)]), 3, 3, True),
-    ], ids=["grid4-k3", "grid5-k5", "lattice5-k3", "lattice5x10-k3-threshold3"])
-    def test_kept_dual_edges_stay_inside_one_run(self, monkeypatch, arr, k, threshold, sheared):
+    @pytest.mark.parametrize("arr, k, sheared", [
+        (grid_construction(4), 3, False),
+        (grid_construction(5), 5, False),
+        (spanned_lines([(x, y) for x in range(5) for y in range(5)]), 3, True),
+        (spanned_lines([(x, y) for x in range(5) for y in range(10)]), 3, True),
+    ], ids=["grid4-k3", "grid5-k5", "lattice5-k3", "lattice5x10-k3"])
+    def test_kept_dual_edges_stay_inside_one_run(self, monkeypatch, arr, k, sheared):
         """The searched joined-pair graph is, edge for edge, the one built by
         dualizing the cell sub-arrangement (sheared if a line is vertical),
-        filtering it by multiplicity and keeping only pairs inside one k-point
-        segment run; each edge carries the arrangement line whose dual point
-        labels that edge.  Each kept edge joins two points of one run, or lies
+        keeping every dual point and only pairs inside one k-point segment
+        run; each edge carries the arrangement line whose dual point labels
+        that edge.  Each kept edge joins two points of one run, or lies
         on a line holding fewer than k cell points."""
         searched = []
         real = pipeline._first_general_position_clique
@@ -367,11 +382,11 @@ class TestSearchSharesLibrarySteps:
             return real(points, edges, k)
         monkeypatch.setattr(pipeline, "_first_general_position_clique", spy)
 
-        cfg = PipelineConfig(k=k, c=measured_density(arr), multiplicity_threshold=threshold)
+        cfg = PipelineConfig(k=k, c=measured_density(arr))
         result = find_complete_tuple(arr, cfg)
         pr = partition(arr.points, result.r)
         point_index = {p: i for i, p in enumerate(arr.points)}
-        shears, cut, on_runs = [], 0, 0
+        shears, on_runs = [], 0
         for points, edges in searched:
             pts = [point_index[p] for p in points]
             cell_points = set(pts)
@@ -382,8 +397,7 @@ class TestSearchSharesLibrarySteps:
             sub = Arrangement([arr.points[i] for i in pts], [arr.lines[li] for li in lines])
             shears.append(generic_shear_value(sub.lines))
             ref_dual = dualize(shear(sub, shears[-1]) if shears[-1] else sub)
-            ref = build_graph(ref_dual, multiplicity_filter(ref_dual, cfg.multiplicity_threshold))
-            cut += len(lines) - len(ref.kept_points)
+            ref = build_graph(ref_dual, range(ref_dual.n_points))
             along = {li: sorted(on, key=lambda i: (arr.points[i].x, arr.points[i].y))
                      for li, on in pipeline._cell_lines(arr, cell).items()}
             runs_on = pipeline._runs(along, k)
@@ -402,7 +416,6 @@ class TestSearchSharesLibrarySteps:
                     assert run_of[li, pts[u]] == run_of.get((li, pts[v]))
                     on_runs += 1
         assert any(shears) == sheared
-        assert bool(cut) == (threshold is not None)
         assert searched and on_runs
 
 
