@@ -213,8 +213,8 @@ def incidence_stats(arr: Arrangement) -> IncidenceStats:
                           dict(sorted(hist.items())), cubed)
 
 
-def measured_density(arr: Arrangement, scale: int = RATIONAL_SCALE) -> Fraction:
-    """Largest p/scale with incidences >= (p/scale) * n_points^(4/3).
+def measured_density(arr: Arrangement) -> Fraction:
+    """Largest p/RATIONAL_SCALE with incidences >= (p/RATIONAL_SCALE) * n_points^(4/3).
 
     This is the exact rational floor of the arrangement's incidence density
     over its point count, the constant the structure pipeline consumes.
@@ -222,8 +222,8 @@ def measured_density(arr: Arrangement, scale: int = RATIONAL_SCALE) -> Fraction:
     n = arr.n_points
     if n == 0 or arr.n_incidences == 0:
         return Fraction(0)
-    p = icbrt(arr.n_incidences**3 * scale**3 // n**4)
-    return Fraction(p, scale)
+    p = icbrt(arr.n_incidences**3 * RATIONAL_SCALE**3 // n**4)
+    return Fraction(p, RATIONAL_SCALE)
 
 
 @dataclass(frozen=True)

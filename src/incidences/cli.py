@@ -70,6 +70,8 @@ def random_arrangement(seed: int, n_points: int, n_lines: int, bound: int) -> Ar
         raise InvalidParamsError("random generator needs n_points >= 2, n_lines >= 1, bound >= 1")
     if n_points > (bound + 1) ** 2:
         raise InvalidParamsError("bound too small for that many distinct points")
+    if n_lines > math.comb(n_points, 2):   # more lines than point pairs: no draw can succeed
+        raise InvalidParamsError("cannot span that many distinct lines from the sampled points")
     rng = random.Random(seed)
     points: list[Point] = []
     seen: set[tuple[int, int]] = set()
@@ -99,7 +101,7 @@ def _read_document(path: str) -> tuple[Arrangement, dict]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DocumentError(f"cannot read {path}: {exc}") from exc
     return arrangement_from_document(loads_document(text))
 
@@ -111,27 +113,31 @@ def _write_text(path: str | None, text: str) -> None:
     beside it, given the old file's mode, which then replaces it in one
     rename, so a reader never sees a partial report; the temp file is removed
     on error.  Anything else (``/dev/null``, a FIFO) is written through as is.
+    A failed write raises InvalidParamsError naming ``path``, never the temp file.
     """
     if path is None:
         sys.stdout.write(text)
         return
     target = os.path.realpath(path)
     exists = os.path.exists(target)
-    if exists and not os.path.isfile(target):
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        return
-    tmp = f"{target}.{os.getpid()}.{os.urandom(4).hex()}.tmp"
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with open(fd, "w", encoding="utf-8") as fh:
-            if exists:
-                os.fchmod(fh.fileno(), stat.S_IMODE(os.stat(target).st_mode))
-            fh.write(text)
-        os.replace(tmp, target)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+        if exists and not os.path.isfile(target):
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            return
+        tmp = f"{target}.{os.getpid()}.{os.urandom(4).hex()}.tmp"
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            with open(fd, "w", encoding="utf-8") as fh:
+                if exists:
+                    os.fchmod(fh.fileno(), stat.S_IMODE(os.stat(target).st_mode))
+                fh.write(text)
+            os.replace(tmp, target)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as exc:   # exc names the temp file; its strerror does not
+        raise InvalidParamsError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _stats_payload(arr: Arrangement) -> dict:
@@ -147,8 +153,6 @@ def _stats_payload(arr: Arrangement) -> dict:
 
 
 def cmd_generate(args) -> int:
-    if args.format != "json":
-        raise InvalidParamsError("generate emits JSON documents only")
     if args.kind == "grid":
         if args.n is None or args.n < 1:
             raise InvalidParamsError("grid requires --n >= 1")
@@ -255,8 +259,6 @@ def cmd_partition(args) -> int:
         lines.extend(f"{j},{c}" for j, c in enumerate(profile.per_line))
         _write_text(args.output, "\n".join(lines) + "\n")
         return EXIT_OK
-    n = arr.n_points
-    r_eff = min(max(args.r, 1), n) if n else args.r
     report = {
         "command": "partition",
         "config": {"r": args.r},
@@ -265,9 +267,7 @@ def cmd_partition(args) -> int:
             {"point_indices": list(cell.point_indices), "region": _rect_payload(cell.region)}
             for cell in pr.cells
         ],
-        "size_window": {"low": n // r_eff if n else 0,
-                        "high": -(-2 * n // r_eff) if n else 0,
-                        "all_within": True},
+        "size_window": {"low": pr.low, "high": pr.high, "all_within": True},
         "t": pr.t,
         "crossing_profile": {
             "max": profile.max_crossing,
@@ -311,7 +311,6 @@ def cmd_theorem1(args) -> int:
         cfg = PipelineConfig(
             k=args.k, c=c,
             beta_k=_parse_fraction(args.beta_k, "--beta-k") if args.beta_k else None,
-            fallback_cells=args.fallback_cells,
         )
     except ValueError as exc:
         raise InvalidParamsError(str(exc)) from exc
@@ -419,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--n-points", type=int, dest="n_points")
     g.add_argument("--n-lines", type=int, dest="n_lines")
     g.add_argument("--bound", type=int, default=1000, help="coordinate bound for kind=random")
-    common(g)
+    g.add_argument("--output", help="output path (default: stdout)")
     g.set_defaults(func=cmd_generate)
 
     a = sub.add_parser("analyze", help="incidence census, rich-line bounds, triangle monitor")
@@ -442,7 +441,6 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--c", required=True,
                    help="incidence density constant (exact rational, or 'auto' to measure)")
     t.add_argument("--beta-k", dest="beta_k", help="override the partition constant")
-    t.add_argument("--fallback-cells", dest="fallback_cells", type=int, default=8)
     common(t)
     t.set_defaults(func=cmd_theorem1)
     return parser

@@ -216,27 +216,21 @@ def degenerate_filter(lines) -> bool:
     return True
 
 
-def enumerate_complete_tuples(g: IntersectionGraph, arr: Arrangement, k: int,
-                              max_results: int | None = None) -> list[CompleteTuple]:
-    """Certified complete k-tuples of the graph, deterministic order.
+def enumerate_complete_tuples(g: IntersectionGraph, arr: Arrangement, k: int) -> list[CompleteTuple]:
+    """Every certified complete k-tuple of the graph, deterministic order.
 
-    Enumerates k-cliques along a degeneracy ordering, attaches the witnessing
-    crossing point of every pair, and keeps only tuples passing the
-    general-position certificate.  Stops once ``max_results`` certified tuples
-    have been found; an empty list is a valid outcome.
+    Enumerates all k-cliques along a degeneracy ordering, attaches the
+    witnessing crossing point of every pair, and keeps only tuples passing the
+    general-position certificate; an empty list is a valid outcome.
     """
     if k < 3:
         raise ValueError("k must be >= 3")
-    if max_results is not None and max_results <= 0:
-        return []
     results: list[CompleteTuple] = []
     for lines_idx in k_cliques(g.n_vertices, g.edges, k):
         if not degenerate_filter([arr.lines[i] for i in lines_idx]):
             continue
         witnesses = {pair: g.edges[pair] for pair in combinations(lines_idx, 2)}
         results.append(CompleteTuple(lines_idx, witnesses))
-        if max_results is not None and len(results) >= max_results:
-            break
     return results
 
 

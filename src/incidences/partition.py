@@ -70,6 +70,8 @@ class PartitionCell:
 class PartitionResult:
     cells: tuple[PartitionCell, ...]
     r_requested: int
+    low: int    # every cell size lies in [low, high]
+    high: int
 
     @property
     def t(self) -> int:
@@ -88,14 +90,14 @@ def partition(points, r: int) -> PartitionResult:
     if r < 1:
         raise ValueError("r must be >= 1")
     if n == 0:
-        return PartitionResult((), r)
+        return PartitionResult((), r, 0, 0)
     r_eff = min(r, n)
-    cap = -(-2 * n // r_eff)  # ceil(2n/r)
+    low, high = n // r_eff, -(-2 * n // r_eff)  # floor(n/r), ceil(2n/r)
     unbounded = Rect(None, None, None, None)
     leaves: list[tuple[Rect, list[int]]] = []
 
     def split(indices: list[int], region: Rect, axis: int) -> None:
-        if len(indices) <= cap:
+        if len(indices) <= high:
             leaves.append((region, indices))
             return
         if axis == 0:
@@ -117,11 +119,10 @@ def partition(points, r: int) -> PartitionResult:
     split(list(range(n)), unbounded, 0)
     leaves.sort(key=lambda leaf: leaf[0].sort_key())
     cells = tuple(PartitionCell(tuple(sorted(idx)), region) for region, idx in leaves)
-    result = PartitionResult(cells, r)
+    result = PartitionResult(cells, r, low, high)
 
     # Contract checks, run on every build.
     seen: set[int] = set()
-    low, high = n // r_eff, cap
     for cell in cells:
         assert low <= len(cell.point_indices) <= high, "cell size outside window"
         assert not (seen & set(cell.point_indices)), "cells overlap"

@@ -27,7 +27,7 @@ geometric predicates alone, independent of any search internals.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from typing import Mapping
@@ -50,14 +50,14 @@ class PipelineConfig:
     """Search parameters.
 
     ``beta_k`` defaults to c/(2k); the partition parameter becomes
-    r = clamp(ceil(beta_k * n^(2/3)), 1, n).  Up to ``fallback_cells`` cells
-    are tried, in the order of ``rank_cells``.
+    r = clamp(ceil(beta_k * n^(2/3)), 1, n).  Up to ``fallback_cells`` = 8
+    cells are tried, in ``rank_cells`` order; it is fixed, not an init field.
     """
 
     k: int
     c: Fraction
     beta_k: Fraction | None = None
-    fallback_cells: int = 8
+    fallback_cells: int = field(default=8, init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "c", Fraction(as_rational(self.c)))
@@ -71,8 +71,6 @@ class PipelineConfig:
             object.__setattr__(self, "beta_k", Fraction(as_rational(self.beta_k)))
         if self.beta_k <= 0:
             raise ValueError("beta_k must be positive")
-        if self.fallback_cells < 1:
-            raise ValueError("fallback_cells must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -283,7 +281,7 @@ def find_complete_tuple(arr: Arrangement,
     """Search the arrangement for a certified complete k-tuple of points.
 
     Deterministic for a fixed configuration.  When the top-ranked cell fails,
-    up to ``cfg.fallback_cells`` cells are tried in decreasing floor-sum
+    up to ``cfg.fallback_cells`` (8) cells are tried in decreasing floor-sum
     order; a NotFoundReport with full per-cell statistics is returned if all
     of them fail.
 
@@ -304,7 +302,7 @@ def find_complete_tuple(arr: Arrangement,
                       f"{cfg.c.denominator.bit_length()}-bit denominator>")
         logger.warning("incidence count %d below c * n^(4/3) for c=%s, n=%d; searching anyway",
                        inc, c_text, n)
-    r = max(1, min(n, ceil_scaled_pow23(n, cfg.beta_k))) if n else 1
+    r = max(1, min(n, ceil_scaled_pow23(n, cfg.beta_k)))
     pr = partition(arr.points, r)
     # The ranking and every attempt read one membership per cell; only the
     # tried cells' memberships are kept past the ranking.
@@ -348,7 +346,7 @@ class InequalityAudit:
 
 def inequality_audit(arr: Arrangement, pr: PartitionResult, cfg: PipelineConfig) -> InequalityAudit:
     floor_sum_total = sum(rep.floor_sum for rep in rank_cells(arr, pr, cfg.k))
-    r = max(1, pr.r_requested)
+    r = pr.r_requested
     p43_lo, p43_hi = pow43_bounds(arr.n_points)
     lhs_lo = cfg.c / cfg.k * p43_lo
     lhs_hi = cfg.c / cfg.k * p43_hi

@@ -2,7 +2,7 @@
 
 Expressions like n^(4/3) and sqrt(r) are irrational in general, so they are
 never stored as values; comparisons against them are done through integer
-cubes/squares, and reporting uses explicit rational lower/upper bounds.
+cubes/squares, and reporting uses rational bounds in steps of 1/RATIONAL_SCALE.
 """
 
 from __future__ import annotations
@@ -48,22 +48,22 @@ def ceil_scaled_pow23(n: int, beta: Fraction) -> int:
     return icbrt_ceil(-(-target // q**3))
 
 
-def sqrt_bounds(n: int, scale: int = RATIONAL_SCALE) -> tuple[Fraction, Fraction]:
-    """Rational (lower, upper) bounds for sqrt(n) at the given scale."""
+def sqrt_bounds(n: int) -> tuple[Fraction, Fraction]:
+    """Rational (lower, upper) bounds for sqrt(n)."""
     if n < 0:
         raise ValueError("sqrt of negative value")
-    s = isqrt(n * scale * scale)
-    lower = Fraction(s, scale)
-    upper = lower if s * s == n * scale * scale else Fraction(s + 1, scale)
+    s = isqrt(n * RATIONAL_SCALE**2)
+    lower = Fraction(s, RATIONAL_SCALE)
+    upper = lower if s * s == n * RATIONAL_SCALE**2 else Fraction(s + 1, RATIONAL_SCALE)
     return lower, upper
 
 
-def pow43_bounds(n: int, scale: int = RATIONAL_SCALE) -> tuple[Fraction, Fraction]:
+def pow43_bounds(n: int) -> tuple[Fraction, Fraction]:
     """Rational (lower, upper) bounds for n^(4/3) = cbrt(n^4)."""
     if n < 0:
         raise ValueError("negative base")
-    target = n**4 * scale**3
+    target = n**4 * RATIONAL_SCALE**3
     t = icbrt(target)
-    lower = Fraction(t, scale)
-    upper = lower if t**3 == target else Fraction(t + 1, scale)
+    lower = Fraction(t, RATIONAL_SCALE)
+    upper = lower if t**3 == target else Fraction(t + 1, RATIONAL_SCALE)
     return lower, upper

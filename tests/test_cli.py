@@ -3,6 +3,7 @@
 import argparse
 import copy
 import json
+import math
 import os
 import random
 import re
@@ -109,6 +110,7 @@ class TestGenerate:
         assert main(["generate", "--kind", "grid", "--output", str(tmp_path / "x.json")]) == 2
         assert main(["generate", "--kind", "grid", "--n", "0"]) == 2
         assert main(["generate", "--kind", "grid", "--n", "2", "--format", "csv"]) == 2
+        assert main(["generate", "--kind", "grid", "--n", "2", "--format", "json"]) == 2
         assert main(["generate", "--kind", "random", "--seed", "1", "--n-points", "50",
                      "--n-lines", "5", "--bound", "3"]) == 2
 
@@ -210,6 +212,20 @@ class TestPartitionCommand:
         doc = write_doc(tmp_path / "g2.json", grid_construction(2))
         assert main(["partition", "--input", doc, "--r", "0"]) == 2
 
+    @pytest.mark.parametrize("arr, r", [
+        (Arrangement([], []), 3), (grid_construction(1), 50),
+        (grid_construction(2), 1), (grid_construction(2), 4),
+    ], ids=["empty", "r-above-n", "r-1", "r-4"])
+    def test_size_window_is_floor_n_over_r_and_ceil_2n_over_r(self, tmp_path, arr, r):
+        doc = write_doc(tmp_path / "in.json", arr)
+        out = tmp_path / "part.json"
+        assert main(["partition", "--input", doc, "--r", str(r), "--output", str(out)]) == 0
+        n = arr.n_points
+        m = min(r, n)
+        expected = (n // m, math.ceil(Fraction(2 * n, m))) if n else (0, 0)
+        window = json.loads(out.read_text())["size_window"]
+        assert window == {"low": expected[0], "high": expected[1], "all_within": True}
+
 
 class TestTheorem1Command:
     def test_grid3_k3_found(self, tmp_path):
@@ -269,6 +285,7 @@ class TestTheorem1Command:
         report = json.loads(out.read_text())
         assert set(report) == {"command", "config", "statistics", "result", "metadata"}
         assert set(report["config"]) == {"k", "c", "beta_k", "fallback_cells"}
+        assert report["config"]["fallback_cells"] == 8
         assert set(report["result"]) == {"status", "report"}
         not_found = report["result"]["report"]
         assert set(not_found) == {"r", "t", "n_points", "n_lines", "n_incidences",
@@ -277,6 +294,12 @@ class TestTheorem1Command:
         for attempt in not_found["attempts"]:
             assert set(attempt) == {"cell_index", "floor_sum", "pairable_lines",
                                     "dual_edges", "certified"}
+
+    def test_fallback_cells_is_not_an_option(self, tmp_path):
+        doc = write_doc(tmp_path / "g3.json", grid_construction(3))
+        assert main(["theorem1", "--input", doc, "--k", "3", "--c", "auto",
+                     "--fallback-cells", "3", "--output", str(tmp_path / "run.json")]) == 2
+        assert os.listdir(tmp_path) == ["g3.json"]
 
     def test_csv_certificate(self, tmp_path):
         doc = write_doc(tmp_path / "g3.json", grid_construction(3))
@@ -317,6 +340,43 @@ class TestArgumentErrors:
         assert capsys.readouterr().err.startswith("error:")
         assert os.listdir(tmp_path) == ["in.json"]   # no report, no temp file
 
+    @pytest.mark.parametrize("command", [
+        ["analyze"], ["partition", "--r", "2"], ["theorem1", "--k", "3", "--c", "auto"],
+        ["generate", "--kind", "spanned"],
+    ], ids=["analyze", "partition", "theorem1", "generate-spanned"])
+    def test_non_utf8_input_exits_2(self, tmp_path, capsys, command):
+        doc = tmp_path / "in.json"
+        doc.write_bytes(b'\xff\xfe{"schema_version": "1", "points": [], "lines": []}')
+        assert main(command + ["--input", str(doc), "--output", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read {doc}: ") and "Traceback" not in err
+        assert os.listdir(tmp_path) == ["in.json"]
+
+    @pytest.mark.parametrize("command", [
+        ["generate", "--kind", "grid", "--n", "2"], ["analyze", "--input", "DOC"],
+        ["partition", "--input", "DOC", "--r", "2"],
+        ["theorem1", "--input", "DOC", "--k", "3", "--c", "auto"],
+        ["partition", "--input", "DOC", "--r", "2", "--output", "OK", "--svg"],
+    ], ids=["generate", "analyze", "partition", "theorem1", "partition-svg"])
+    @pytest.mark.parametrize("where, reason", [
+        ("missing/out", "No such file or directory"), ("adir", "Is a directory"),
+    ], ids=["missing-directory", "existing-directory"])
+    def test_unwritable_output_exits_2(self, tmp_path, capsys, command, where, reason):
+        """An output path that cannot be written is named in the error, the
+        temp file never is, and no temp file is left."""
+        doc = write_doc(tmp_path / "g2.json", grid_construction(2))
+        (tmp_path / "adir").mkdir()
+        path = str(tmp_path / where)
+        argv = [doc if arg == "DOC" else str(tmp_path / "ok.json") if arg == "OK" else arg
+                for arg in command]
+        if argv[-1] == "--svg":
+            argv.append(path)
+        else:
+            argv += ["--output", path]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: cannot write {path}: {reason}\n"
+        assert sorted(os.listdir(tmp_path)) == ["adir", "g2.json"]
+        assert os.listdir(tmp_path / "adir") == []
 
     @pytest.mark.parametrize("options", [
         ["--c", "1e5000"], ["--c", "1e-5000"], ["--c", "1", "--beta-k", "1e5000"],
@@ -402,7 +462,8 @@ class TestAtomicWrite:
         def refuse(src, dst):
             raise OSError("replace refused")
         monkeypatch.setattr(os, "replace", refuse)
-        with pytest.raises(OSError, match="replace refused"):
+        with pytest.raises(cli.InvalidParamsError,
+                           match=f"^cannot write {re.escape(str(target))}: replace refused$"):
             _write_text(str(target), "new\n")
         assert os.listdir(tmp_path) == ["report.json"]
         assert target.read_text() == "old\n"
@@ -491,24 +552,30 @@ def mutated_documents(draw):
         at = draw(st.integers(0, len(text)))
         cut = draw(st.integers(0, 3))
         text = text[:at] + draw(st.text(alphabet='[]{},:"-0123456789e', max_size=3)) + text[at + cut:]
-    return text
+    data = text.encode("utf-8")
+    if draw(st.integers(0, 3)) == 0:   # a byte sequence that is not UTF-8
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from([b"\xff", b"\xc3(", b"\xed\xa0\x80"])) + data[at:]
+    return data
 
 
 class TestFuzzedDocuments:
     @given(mutated_documents(), st.sampled_from(COMMANDS))
-    @example('{"schema_version": "1", "points": [[[1, 0], [0, 1]]], "lines": []}', ["analyze"])
-    @example('{"schema_version": "1", "points": [[[1, 1], [true, 1]]], "lines": []}', ["analyze"])
-    @example('{"schema_version": "1", "points": [], "lines": [[1, "0", 0]]}', ["analyze"])
-    @example('{"schema_version": "1", "points": [], "lines": [], "metadata": 7}',
+    @example(b'{"schema_version": "1", "points": [[[1, 0], [0, 1]]], "lines": []}', ["analyze"])
+    @example(b'{"schema_version": "1", "points": [[[1, 1], [true, 1]]], "lines": []}', ["analyze"])
+    @example(b'{"schema_version": "1", "points": [], "lines": [[1, "0", 0]]}', ["analyze"])
+    @example(b'{"schema_version": "1", "points": [], "lines": [], "metadata": 7}',
              ["partition", "--r", "3"])
-    @example('{"schema_version": "1", "points": [[[' + "7" * 400 + ', 1], [0, 1]]], "lines": []}',
+    @example(b'{"schema_version": "1", "points": [[[' + b"7" * 400 + b', 1], [0, 1]]], "lines": []}',
              COMMANDS[-1])
+    @example(b'{"schema_version": "1", "points": [], "lines": [], "metadata": "\xed\xa0\x80"}',
+             ["theorem1", "--k", "3", "--c", "auto"])
     @settings(max_examples=100, deadline=None)
-    def test_exit_code_is_never_internal_error(self, text, command):
+    def test_exit_code_is_never_internal_error(self, data, command):
         with tempfile.TemporaryDirectory() as tmp:
             doc = os.path.join(tmp, "in.json")
-            with open(doc, "w", encoding="utf-8") as fh:
-                fh.write(text)
+            with open(doc, "wb") as fh:
+                fh.write(data)
             argv = [os.path.join(tmp, "out.svg") if arg == "SVG" else arg for arg in command]
             code = main(argv + ["--input", doc, "--output", os.path.join(tmp, "out")])
         assert code in (0, 2, 3)
@@ -524,3 +591,18 @@ class TestRandomArrangement:
         arr = random_arrangement(5, 10, 6, 40)
         for j in range(arr.n_lines):
             assert len(arr.points_on_line(j)) >= 2
+
+    def test_more_lines_than_point_pairs_is_refused_before_sampling(
+            self, tmp_path, capsys, monkeypatch):
+        spanned = []
+        monkeypatch.setattr(cli, "line_through", lambda *a: spanned.append(a))
+        out = tmp_path / "r.json"
+        assert main(["generate", "--kind", "random", "--seed", "1", "--n-points", "2",
+                     "--n-lines", "2", "--bound", "1", "--output", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: cannot span that many distinct lines from the sampled points\n")
+        assert spanned == []
+        assert not out.exists()
+        with pytest.raises(cli.InvalidParamsError):
+            random_arrangement(1, 4, 7, 10)   # C(4, 2) = 6 lines at most
+        assert spanned == []

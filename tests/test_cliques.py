@@ -335,11 +335,6 @@ class TestEnumerateCompleteTuples:
         brute = brute_complete_line_tuples(arr, kept, 3)
         assert sorted(t.line_indices for t in found) == sorted(brute)
 
-    def test_max_results_stops_early(self, grid3x3):
-        g = build_graph(grid3x3, set(range(grid3x3.n_points)))
-        some = enumerate_complete_tuples(g, grid3x3, 3, max_results=2)
-        assert len(some) == 2
-
     def test_witnesses_label_each_pair(self, triangle_arrangement):
         g = build_graph(triangle_arrangement, {0, 1, 2})
         tup = enumerate_complete_tuples(g, triangle_arrangement, 3)[0]

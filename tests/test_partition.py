@@ -13,6 +13,7 @@ from incidences.cli import random_arrangement
 def window_ok(pr, n, r):
     r_eff = min(r, n)
     low, high = n // r_eff, -(-2 * n // r_eff)
+    assert (pr.low, pr.high) == (low, high)
     return all(low <= len(c.point_indices) <= high for c in pr.cells)
 
 
@@ -46,6 +47,7 @@ class TestPartitionContract:
     def test_empty_input_allowed(self):
         pr = partition([], 1)
         assert pr.t == 0
+        assert (pr.low, pr.high) == (0, 0)
 
     def test_invalid_r(self):
         with pytest.raises(ValueError):
@@ -109,7 +111,7 @@ class TestCrossingNumber:
             PartitionCell((2,), Rect(-10, 0, 0, 10)),
             PartitionCell((3,), Rect(0, 10, 0, 10)),
         )
-        pr = PartitionResult(cells, 4)
+        pr = PartitionResult(cells, 4, low=1, high=2)
         assert crossing_number(pr, Line(1, -1, 100)) == 0   # y = x + 100, far away
         assert crossing_number(pr, Line(1, -1, 0)) == 4     # y = x through the corner
         assert crossing_number(pr, Line(0, 1, -5)) == 2     # y = 5 crosses the top row
@@ -119,7 +121,7 @@ class TestCrossingNumber:
             PartitionCell((0,), Rect(None, 0, None, None)),
             PartitionCell((1,), Rect(0, None, None, None)),
         )
-        pr = PartitionResult(cells, 2)
+        pr = PartitionResult(cells, 2, low=1, high=2)
         assert crossing_number(pr, Line(1, 0, 0)) == 2  # x = 0 is the shared edge
 
     def test_profile_aggregates(self):

@@ -30,8 +30,10 @@ class TestPipelineConfig:
             PipelineConfig(k=2, c=1)
         with pytest.raises(ValueError):
             PipelineConfig(k=3, c=0)
-        with pytest.raises(ValueError):
-            PipelineConfig(k=3, c=1, fallback_cells=0)
+
+    def test_fallback_cells_is_not_an_init_field(self):
+        with pytest.raises(TypeError):
+            PipelineConfig(k=3, c=1, fallback_cells=3)
 
 
 class TestSelectRichCell:
