@@ -70,7 +70,8 @@ def random_arrangement(seed: int, n_points: int, n_lines: int, bound: int) -> Ar
         raise InvalidParamsError("random generator needs n_points >= 2, n_lines >= 1, bound >= 1")
     if n_points > (bound + 1) ** 2:
         raise InvalidParamsError("bound too small for that many distinct points")
-    if n_lines > math.comb(n_points, 2):   # more lines than point pairs: no draw can succeed
+    n_pairs = math.comb(n_points, 2)
+    if n_lines > n_pairs:   # more lines than point pairs: no draw can succeed
         raise InvalidParamsError("cannot span that many distinct lines from the sampled points")
     rng = random.Random(seed)
     points: list[Point] = []
@@ -82,14 +83,15 @@ def random_arrangement(seed: int, n_points: int, n_lines: int, bound: int) -> Ar
             points.append(Point(*xy))
     lines: list[Line] = []
     line_set: set[Line] = set()
-    attempts = 0
+    drawn: set[tuple[int, int]] = set()
     while len(lines) < n_lines:
-        attempts += 1
-        if attempts > 200 * n_lines + 1000:
+        if len(drawn) == n_pairs:   # every line the points span is already drawn
             raise InvalidParamsError("cannot span that many distinct lines from the sampled points")
         i, j = rng.randrange(n_points), rng.randrange(n_points)
-        if i == j:
+        pair = (min(i, j), max(i, j))
+        if i == j or pair in drawn:
             continue
+        drawn.add(pair)
         ln = line_through(points[i], points[j])
         if ln not in line_set:
             line_set.add(ln)
@@ -106,38 +108,53 @@ def _read_document(path: str) -> tuple[Arrangement, dict]:
     return arrangement_from_document(loads_document(text))
 
 
-def _write_text(path: str | None, text: str) -> None:
-    """Write to stdout, or to ``path``, atomically when it is a regular file.
+def _write_text(*targets: tuple[str | None, str]) -> None:
+    """Write each (path, text) target, all or none: to stdout when the path is
+    None, else to the path, atomically when it is a regular file.
 
-    For a new or regular file (symlinks resolved), the text goes to a new file
-    beside it, given the old file's mode, which then replaces it in one
-    rename, so a reader never sees a partial report; the temp file is removed
-    on error.  Anything else (``/dev/null``, a FIFO) is written through as is.
-    A failed write raises InvalidParamsError naming ``path``, never the temp file.
+    Every path is opened before any target changes: a new or regular file
+    (symlinks resolved) gets its whole text in a new file beside it, given the
+    old file's mode; anything else (``/dev/null``, a FIFO) is opened as is.
+    Then each new file replaces its target in one rename, so a reader never
+    sees a partial report, and the other targets and stdout are written.
+    Temp files left by an error are removed.  A failed write raises
+    InvalidParamsError naming the path as given, never the temp file.
     """
-    if path is None:
-        sys.stdout.write(text)
-        return
-    target = os.path.realpath(path)
-    exists = os.path.exists(target)
+    staged: list[tuple[str, str, str]] = []   # (path, temp file, target)
+    through = []                              # (path, open file, text)
     try:
-        if exists and not os.path.isfile(target):
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(text)
-            return
-        tmp = f"{target}.{os.getpid()}.{os.urandom(4).hex()}.tmp"
-        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-        try:
+        for path, text in targets:
+            if path is None:
+                continue
+            target = os.path.realpath(path)
+            exists = os.path.exists(target)
+            if exists and not os.path.isfile(target):
+                through.append((path, open(path, "w", encoding="utf-8"), text))
+                continue
+            tmp = f"{target}.{os.getpid()}.{os.urandom(4).hex()}.tmp"
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            staged.append((path, tmp, target))
             with open(fd, "w", encoding="utf-8") as fh:
                 if exists:
                     os.fchmod(fh.fileno(), stat.S_IMODE(os.stat(target).st_mode))
                 fh.write(text)
+        while staged:
+            path, tmp, target = staged[0]
             os.replace(tmp, target)
-        except BaseException:
-            os.unlink(tmp)
-            raise
+            del staged[0]
+        for path, fh, text in through:
+            with fh:
+                fh.write(text)
     except OSError as exc:   # exc names the temp file; its strerror does not
         raise InvalidParamsError(f"cannot write {path}: {exc.strerror or exc}") from exc
+    finally:
+        for _, tmp, _ in staged:
+            os.unlink(tmp)
+        for _, fh, _ in through:
+            fh.close()
+    for path, text in targets:
+        if path is None:
+            sys.stdout.write(text)
 
 
 def _stats_payload(arr: Arrangement) -> dict:
@@ -174,7 +191,7 @@ def cmd_generate(args) -> int:
         meta = {"generator": "random",
                 "params": {"seed": args.seed, "n_points": args.n_points,
                            "n_lines": args.n_lines, "bound": args.bound}}
-    _write_text(args.output, dumps_canonical(arrangement_to_document(arr, meta)))
+    _write_text((args.output, dumps_canonical(arrangement_to_document(arr, meta))))
     return EXIT_OK
 
 
@@ -193,13 +210,13 @@ def cmd_analyze(args) -> int:
     monitor = de_caen_szekely_monitor(arr)
     if not monitor.conjecture_holds:
         path = (args.output or "analyze") + ".counterexample.json"
-        _write_text(path, dumps_canonical({
+        _write_text((path, dumps_canonical({
             "kind": "COUNTEREXAMPLE",
             "claim": "triangles <= n_points * n_lines",
             "triangles": monitor.triangles,
             "bound": monitor.bound,
             "document": arrangement_to_document(arr, meta),
-        }))
+        })))
         logger.warning("triangle bound violated; counterexample written to %s", path)
     if args.format == "csv":
         lines = ["m,lines_exactly_m,lines_at_least_m,bound_numerator,bound_denominator,within_bound"]
@@ -207,7 +224,7 @@ def cmd_analyze(args) -> int:
         for row, bound in zip(rows, bounds):
             lines.append(f"{row.m},{hist.get(row.m, 0)},{row.rich_count},{bound},"
                          f"{str(row.within_bound).lower()}")
-        _write_text(args.output, "\n".join(lines) + "\n")
+        _write_text((args.output, "\n".join(lines) + "\n"))
         return EXIT_OK
     report = {
         "command": "analyze",
@@ -227,7 +244,7 @@ def cmd_analyze(args) -> int:
         },
         "metadata": meta,
     }
-    _write_text(args.output, dumps_canonical(report))
+    _write_text((args.output, dumps_canonical(report)))
     return EXIT_OK
 
 
@@ -245,19 +262,19 @@ def cmd_partition(args) -> int:
         raise InvalidParamsError("--r must be >= 1")
     pr = partition(arr.points, args.r)
     profile = crossing_profile(pr, arr.lines)
+    svg = []
     if args.svg:
         try:
-            svg = _partition_svg(arr, pr)
+            svg = [(args.svg, _partition_svg(arr, pr))]
         except (OverflowError, ZeroDivisionError) as exc:
             # Past the float range (a coordinate, their spread or a line end),
             # or so large that the 5% margin vanishes in float rounding and
             # the plot has zero width or height.
             raise InvalidParamsError("--svg: coordinates too large to plot") from exc
-        _write_text(args.svg, svg)
     if args.format == "csv":
         lines = ["line_index,cells_crossed"]
         lines.extend(f"{j},{c}" for j, c in enumerate(profile.per_line))
-        _write_text(args.output, "\n".join(lines) + "\n")
+        _write_text(*svg, (args.output, "\n".join(lines) + "\n"))
         return EXIT_OK
     report = {
         "command": "partition",
@@ -276,7 +293,7 @@ def cmd_partition(args) -> int:
         },
         "metadata": meta,
     }
-    _write_text(args.output, dumps_canonical(report))
+    _write_text(*svg, (args.output, dumps_canonical(report)))
     return EXIT_OK
 
 
@@ -334,7 +351,7 @@ def cmd_theorem1(args) -> int:
             for a in result.attempts:
                 lines.append(f"{a.cell_index},{a.floor_sum},{a.pairable_lines},"
                              f"{str(a.certified).lower()}")
-        _write_text(args.output, "\n".join(lines) + "\n")
+        _write_text((args.output, "\n".join(lines) + "\n"))
         return EXIT_OK if found else EXIT_NOT_FOUND
     report = {
         "command": "theorem1",
@@ -343,7 +360,7 @@ def cmd_theorem1(args) -> int:
         "result": payload,
         "metadata": meta,
     }
-    _write_text(args.output, dumps_canonical(report))
+    _write_text((args.output, dumps_canonical(report)))
     return EXIT_OK if found else EXIT_NOT_FOUND
 
 

@@ -32,8 +32,7 @@ class DocumentError(ValueError):
 
 
 def rational_to_pair(v: Rational) -> list[int]:
-    f = Fraction(v)
-    return [f.numerator, f.denominator]
+    return [v.numerator, v.denominator]
 
 
 def pair_to_rational(pair, where: str) -> Rational:

@@ -20,7 +20,7 @@ boundary touches over-count, never under-count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .geometry import Line, Point, Rational
@@ -93,30 +93,25 @@ def partition(points, r: int) -> PartitionResult:
         return PartitionResult((), r, 0, 0)
     r_eff = min(r, n)
     low, high = n // r_eff, -(-2 * n // r_eff)  # floor(n/r), ceil(2n/r)
-    unbounded = Rect(None, None, None, None)
     leaves: list[tuple[Rect, list[int]]] = []
 
     def split(indices: list[int], region: Rect, axis: int) -> None:
         if len(indices) <= high:
             leaves.append((region, indices))
             return
+        h = (len(indices) + 1) // 2   # the lower cell takes ranks 1..h
         if axis == 0:
             indices.sort(key=lambda i: (points[i].x, points[i].y, i))
+            cut = points[indices[h - 1]].x
+            lo_region, hi_region = replace(region, x_max=cut), replace(region, x_min=cut)
         else:
             indices.sort(key=lambda i: (points[i].y, points[i].x, i))
-        h = (len(indices) + 1) // 2
-        lower, upper = indices[:h], indices[h:]
-        cut = points[lower[-1]].x if axis == 0 else points[lower[-1]].y
-        if axis == 0:
-            lo_region = Rect(region.x_min, cut, region.y_min, region.y_max)
-            hi_region = Rect(cut, region.x_max, region.y_min, region.y_max)
-        else:
-            lo_region = Rect(region.x_min, region.x_max, region.y_min, cut)
-            hi_region = Rect(region.x_min, region.x_max, cut, region.y_max)
-        split(lower, lo_region, 1 - axis)
-        split(upper, hi_region, 1 - axis)
+            cut = points[indices[h - 1]].y
+            lo_region, hi_region = replace(region, y_max=cut), replace(region, y_min=cut)
+        split(indices[:h], lo_region, 1 - axis)
+        split(indices[h:], hi_region, 1 - axis)
 
-    split(list(range(n)), unbounded, 0)
+    split(list(range(n)), Rect(None, None, None, None), 0)
     leaves.sort(key=lambda leaf: leaf[0].sort_key())
     cells = tuple(PartitionCell(tuple(sorted(idx)), region) for region, idx in leaves)
     result = PartitionResult(cells, r, low, high)
@@ -141,23 +136,14 @@ def line_crosses_rect(l: Line, rect: Rect) -> bool:
     range contains zero.  Unbounded sides push the corresponding end of the
     range to infinity.
     """
-
-    def term(coeff, lo_bound, hi_bound):
-        # Returns (lo, hi) of coeff * v over [lo_bound, hi_bound]; None = infinite.
+    lo = hi = l.c
+    for coeff, low, high in ((l.a, rect.x_min, rect.x_max), (l.b, rect.y_min, rect.y_max)):
         if coeff == 0:
-            return 0, 0
-        if coeff > 0:
-            lo = None if lo_bound is None else coeff * lo_bound
-            hi = None if hi_bound is None else coeff * hi_bound
-        else:
-            lo = None if hi_bound is None else coeff * hi_bound
-            hi = None if lo_bound is None else coeff * lo_bound
-        return lo, hi
-
-    x_lo, x_hi = term(l.a, rect.x_min, rect.x_max)
-    y_lo, y_hi = term(l.b, rect.y_min, rect.y_max)
-    lo = None if x_lo is None or y_lo is None else l.c + x_lo + y_lo
-    hi = None if x_hi is None or y_hi is None else l.c + x_hi + y_hi
+            continue
+        if coeff < 0:
+            low, high = high, low
+        lo = None if lo is None or low is None else lo + coeff * low
+        hi = None if hi is None or high is None else hi + coeff * high
     return (lo is None or lo <= 0) and (hi is None or hi >= 0)
 
 

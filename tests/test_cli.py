@@ -2,6 +2,7 @@
 
 import argparse
 import copy
+import hashlib
 import json
 import math
 import os
@@ -106,6 +107,19 @@ class TestGenerate:
         assert main(args + ["--output", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    @pytest.mark.parametrize("seed, n_points, n_lines, bound, sha256", [
+        (1, 12, 20, 50, "832bf32ecbc0df56548b6cdeb7bd8e492005f6be97c11c18160f14528b94e477"),
+        (2, 30, 100, 1000, "44815e9dd257bcb67e868a00b20a08f038b51d0f9888e1b01b69911312313c28"),
+        (3, 40, 300, 7, "6b41696b0ee938d4c31cbc95371442f7222ef36fbd28c156bdac8e958a819b94"),
+    ])
+    def test_random_documents_are_pinned(self, tmp_path, seed, n_points, n_lines, bound,
+                                         sha256):
+        out = tmp_path / "r.json"
+        assert main(["generate", "--kind", "random", "--seed", str(seed),
+                     "--n-points", str(n_points), "--n-lines", str(n_lines),
+                     "--bound", str(bound), "--output", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+
     def test_bad_params(self, tmp_path):
         assert main(["generate", "--kind", "grid", "--output", str(tmp_path / "x.json")]) == 2
         assert main(["generate", "--kind", "grid", "--n", "0"]) == 2
@@ -198,6 +212,24 @@ class TestPartitionCommand:
                      str(tmp_path / "p.json"), "--svg", str(tmp_path / "cells.svg")]) == 2
         assert capsys.readouterr().err == "error: --svg: coordinates too large to plot\n"
         assert os.listdir(tmp_path) == ["big.json"]   # no report, no SVG, no temp file
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("unwritable", ["--output", "--svg"])
+    @pytest.mark.parametrize("old", [None, "old\n"], ids=["new-target", "existing-target"])
+    def test_exit_2_writes_neither_file(self, tmp_path, capsys, fmt, unwritable, old):
+        """The SVG and the report are written all or none: an unwritable one
+        leaves the other target as it was, and no temp file behind."""
+        doc = write_doc(tmp_path / "g2.json", grid_construction(2))
+        ok, bad = tmp_path / "ok", tmp_path / "missing" / "x"
+        if old is not None:
+            ok.write_text(old)
+        writable = "--svg" if unwritable == "--output" else "--output"
+        assert main(["partition", "--input", doc, "--r", "2", "--format", fmt,
+                     unwritable, str(bad), writable, str(ok)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot write {bad}: ")
+        assert sorted(os.listdir(tmp_path)) == ["g2.json"] + (["ok"] if old else [])
+        if old is not None:
+            assert ok.read_text() == old
 
     def test_csv_profile(self, tmp_path):
         doc = write_doc(tmp_path / "g2.json", grid_construction(2))
@@ -445,7 +477,7 @@ class TestAtomicWrite:
         out = tmp_path / "report.json"
         out.write_text("old contents that are longer than the new ones\n")
         text = dumps_canonical({"a": [1, 2], "b": "\u00e9"})
-        _write_text(str(out), text)
+        _write_text((str(out), text))
         assert out.read_bytes() == text.encode("utf-8")
         assert os.listdir(tmp_path) == ["report.json"]
 
@@ -464,7 +496,7 @@ class TestAtomicWrite:
         monkeypatch.setattr(os, "replace", refuse)
         with pytest.raises(cli.InvalidParamsError,
                            match=f"^cannot write {re.escape(str(target))}: replace refused$"):
-            _write_text(str(target), "new\n")
+            _write_text((str(target), "new\n"))
         assert os.listdir(tmp_path) == ["report.json"]
         assert target.read_text() == "old\n"
 
@@ -473,7 +505,7 @@ class TestAtomicWrite:
         real.write_text("old\n")
         link = tmp_path / "link.json"
         link.symlink_to(real)
-        _write_text(str(link), "new\n")
+        _write_text((str(link), "new\n"))
         assert link.is_symlink() and os.readlink(link) == str(real)
         assert real.read_text() == "new\n"
         assert sorted(os.listdir(tmp_path)) == ["link.json", "real.json"]
@@ -482,7 +514,7 @@ class TestAtomicWrite:
         out = tmp_path / "report.json"
         out.write_text("old\n")
         out.chmod(0o640)
-        _write_text(str(out), "new\n")
+        _write_text((str(out), "new\n"))
         assert stat.S_IMODE(out.stat().st_mode) == 0o640
         assert out.read_text() == "new\n"
 
@@ -491,7 +523,7 @@ class TestAtomicWrite:
         os.mkfifo(fifo)
         reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
         try:
-            _write_text(str(fifo), "report\n")
+            _write_text((str(fifo), "report\n"))
             assert os.read(reader, 100) == b"report\n"
         finally:
             os.close(reader)
@@ -606,3 +638,18 @@ class TestRandomArrangement:
         with pytest.raises(cli.InvalidParamsError):
             random_arrangement(1, 4, 7, 10)   # C(4, 2) = 6 lines at most
         assert spanned == []
+
+    def test_refused_once_every_pair_is_drawn(self, tmp_path, capsys, monkeypatch):
+        """60 points on an 8x8 grid span fewer than C(60, 2) = 1770 lines, so
+        the request is refused after at most one line_through call per pair."""
+        spanned = []
+        line_through = cli.line_through
+        monkeypatch.setattr(cli, "line_through", lambda *a: spanned.append(a) or line_through(*a))
+        out = tmp_path / "r.json"
+        assert main(["generate", "--kind", "random", "--seed", "1", "--n-points", "60",
+                     "--n-lines", "1770", "--bound", "7", "--output", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: cannot span that many distinct lines from the sampled points\n")
+        assert 0 < len(spanned) <= math.comb(60, 2)
+        assert len({frozenset(pair) for pair in spanned}) == len(spanned)
+        assert not out.exists()

@@ -1,5 +1,6 @@
 """Balanced partition contracts and exact crossing counts."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -73,6 +74,28 @@ class TestPartitionContract:
         pr = partition(pts, 50)
         assert window_ok(pr, 3, 50)
         assert pr.t <= 4 * 3
+
+
+    @pytest.mark.parametrize("side, r, expected", [
+        (4, 4, [((1, 5, 6, 9, 11, 13, 14, 15), (None, 1, None, None)),
+                ((0, 2, 3, 4, 7, 8, 10, 12), (1, None, None, None))]),
+        (4, 8, [((1, 6, 13, 14), (None, 1, None, 1)), ((5, 9, 11, 15), (None, 1, 1, None)),
+                ((2, 3, 7, 8), (1, None, None, 1)), ((0, 4, 10, 12), (1, None, 1, None))]),
+        (4, 16, [((6, 13), (None, 0, None, 1)), ((5, 9), (None, 0, 1, None)),
+                 ((1, 14), (0, 1, None, 1)), ((11, 15), (0, 1, 1, None)),
+                 ((3, 7), (1, 2, None, 1)), ((0, 12), (1, 2, 1, None)),
+                 ((2, 8), (2, None, None, 1)), ((4, 10), (2, None, 1, None))]),
+        # The median rank falls inside column x = 1: (1, 2) goes up, cut x = 1.
+        (3, 3, [((0, 3, 5, 7, 8), (None, 1, None, None)),
+                ((1, 2, 4, 6), (1, None, None, None))]),
+    ], ids=["4x4-r4", "4x4-r8", "4x4-r16", "3x3-r3"])
+    def test_shuffled_lattice_cells_are_pinned(self, side, r, expected):
+        """Ties on both axes: each column and each row holds several points."""
+        pts = [Point(x, y) for x in range(side) for y in range(side)]
+        random.Random(side).shuffle(pts)
+        pr = partition(pts, r)
+        assert [(c.point_indices, c.region) for c in pr.cells] == [
+            (idx, Rect(*sides)) for idx, sides in expected]
 
 
 class TestLineCrossesRect:
