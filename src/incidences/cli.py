@@ -105,7 +105,11 @@ def _read_document(path: str) -> tuple[Arrangement, dict]:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise DocumentError(f"cannot read {path}: {exc}") from exc
-    return arrangement_from_document(loads_document(text))
+    doc = loads_document(text)
+    # Only the decoded document is needed from here; kept, the text would add
+    # its size to the peak of building the arrangement.
+    del text
+    return arrangement_from_document(doc)
 
 
 def _write_text(*targets: tuple[str | None, str]) -> None:

@@ -5,6 +5,10 @@ coefficients as canonical [a, b, c] triples, so parse(serialize(arr)) gives
 back the identical canonical arrangement and geometry survives a round trip
 bit for bit.
 
+Reading makes one pass over each list: an entry in the exact form the writer
+emits is built directly, and any other entry takes the per-entry checks,
+which canonicalize it or raise ``DocumentError`` with its location.
+
 Every document and report is written by ``dumps_canonical``, whose text is
 exactly ``json.dumps(obj, sort_keys=True, indent=2) + "\n"``.  With ``indent``
 set, ``json`` runs its pure-Python encoder, so the text is built here instead:
@@ -46,6 +50,25 @@ def pair_to_rational(pair, where: str) -> Rational:
     return f.numerator if f.denominator == 1 else f
 
 
+def _point_entry(entry, i: int) -> Point:
+    """points[i] by the per-entry checks."""
+    if not isinstance(entry, (list, tuple)) or len(entry) != 2:
+        raise DocumentError(f"points[{i}]: expected [x, y]")
+    return Point(pair_to_rational(entry[0], f"points[{i}].x"),
+                 pair_to_rational(entry[1], f"points[{i}].y"))
+
+
+def _line_entry(entry, j: int) -> Line:
+    """lines[j] by the per-entry checks, canonicalized."""
+    if (not isinstance(entry, (list, tuple)) or len(entry) != 3
+            or not all(isinstance(x, int) and not isinstance(x, bool) for x in entry)):
+        raise DocumentError(f"lines[{j}]: expected [a, b, c] integer triple")
+    try:
+        return Line.from_coefficients(*entry)
+    except ValueError as exc:
+        raise DocumentError(f"lines[{j}]: {exc}") from exc
+
+
 def arrangement_to_document(arr: Arrangement, metadata: dict | None = None) -> dict:
     doc = {
         "schema_version": SCHEMA_VERSION,
@@ -58,6 +81,17 @@ def arrangement_to_document(arr: Arrangement, metadata: dict | None = None) -> d
 
 
 def arrangement_from_document(doc) -> tuple[Arrangement, dict]:
+    """The arrangement and metadata of a decoded document, in one pass per list.
+
+    Each entry first gets a shape test for the form the writer emits: a point
+    ``[[x, 1], [y, 1]]`` and a canonical line ``[a, b, c]`` (gcd 1, first
+    nonzero of a, b positive), all with exact ``int`` leaves.  Such an entry
+    builds its ``Point`` or ``Line`` directly.  Every other entry (a
+    fraction, a tuple, a bool or an ``int`` subclass, a reducible pair, a
+    line that needs canonicalizing, a malformed shape) takes the per-entry
+    checks of ``_point_entry`` and ``_line_entry``, whose messages are the
+    ``DocumentError`` messages.  Both routes give equal objects.
+    """
     if not isinstance(doc, dict):
         raise DocumentError("document root must be an object")
     if doc.get("schema_version") != SCHEMA_VERSION:
@@ -68,19 +102,23 @@ def arrangement_from_document(doc) -> tuple[Arrangement, dict]:
         raise DocumentError("document needs 'points' and 'lines' lists")
     points = []
     for i, entry in enumerate(raw_points):
-        if not isinstance(entry, (list, tuple)) or len(entry) != 2:
-            raise DocumentError(f"points[{i}]: expected [x, y]")
-        points.append(Point(pair_to_rational(entry[0], f"points[{i}].x"),
-                            pair_to_rational(entry[1], f"points[{i}].y")))
+        if type(entry) is list and len(entry) == 2:
+            xs, ys = entry
+            if (type(xs) is list and type(ys) is list and len(xs) == 2 and len(ys) == 2
+                    and type(xs[0]) is int and type(ys[0]) is int
+                    and type(xs[1]) is int and type(ys[1]) is int and xs[1] == ys[1] == 1):
+                points.append(Point(xs[0], ys[0]))
+                continue
+        points.append(_point_entry(entry, i))
     lines = []
     for j, entry in enumerate(raw_lines):
-        if (not isinstance(entry, (list, tuple)) or len(entry) != 3
-                or not all(isinstance(x, int) and not isinstance(x, bool) for x in entry)):
-            raise DocumentError(f"lines[{j}]: expected [a, b, c] integer triple")
-        try:
-            lines.append(Line.from_coefficients(*entry))
-        except ValueError as exc:
-            raise DocumentError(f"lines[{j}]: {exc}") from exc
+        if type(entry) is list and len(entry) == 3:
+            a, b, c = entry
+            if (type(a) is int and type(b) is int and type(c) is int
+                    and math.gcd(a, b, c) == 1 and (a > 0 or a == 0 and b > 0)):
+                lines.append(Line(a, b, c))
+                continue
+        lines.append(_line_entry(entry, j))
     try:
         arr = Arrangement(points, lines)
     except ValueError as exc:

@@ -30,6 +30,8 @@ def as_rational(value) -> Rational:
     Floats are rejected: binary floating point has no place in exact
     predicates, even as input.
     """
+    if type(value) is int:
+        return value
     if isinstance(value, bool):
         raise TypeError("bool is not a coordinate")
     if isinstance(value, int):
@@ -49,8 +51,9 @@ class Point:
     y: Rational
 
     def __post_init__(self):
-        object.__setattr__(self, "x", as_rational(self.x))
-        object.__setattr__(self, "y", as_rational(self.y))
+        if type(self.x) is not int or type(self.y) is not int:
+            object.__setattr__(self, "x", as_rational(self.x))
+            object.__setattr__(self, "y", as_rational(self.y))
 
 
 @dataclass(frozen=True)
@@ -70,13 +73,14 @@ class Line:
     c: int
 
     def __post_init__(self):
-        for coeff in (self.a, self.b, self.c):
-            if not isinstance(coeff, int) or isinstance(coeff, bool):
-                raise ValueError("line coefficients must be ints; "
-                                 "use Line.from_coefficients to canonicalize")
+        if not (type(self.a) is int and type(self.b) is int and type(self.c) is int):
+            for coeff in (self.a, self.b, self.c):
+                if not isinstance(coeff, int) or isinstance(coeff, bool):
+                    raise ValueError("line coefficients must be ints; "
+                                     "use Line.from_coefficients to canonicalize")
         if self.a == 0 and self.b == 0:
             raise ValueError("(a, b) == (0, 0) does not define a line")
-        if gcd(gcd(abs(self.a), abs(self.b)), abs(self.c)) != 1:
+        if gcd(self.a, self.b, self.c) != 1:
             raise ValueError(f"coefficients {(self.a, self.b, self.c)} not reduced")
         if self.a < 0 or (self.a == 0 and self.b < 0):
             raise ValueError(f"coefficients {(self.a, self.b, self.c)} not sign-canonical")

@@ -8,6 +8,7 @@ fast paths always have something independent to be checked against.
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -15,6 +16,11 @@ import pytest
 from incidences import (Arrangement, Line, Point, concurrent, incident,
                         intersection, spanned_lines)
 from incidences.cli import random_arrangement
+from incidences.documents import SCHEMA_VERSION, DocumentError
+
+
+class IntSubclass(int):
+    """An int that is not exactly ``int``: readers and constructors accept it."""
 
 
 def reference_dumps(obj) -> str:
@@ -33,6 +39,54 @@ def first_difference(text: str, expected: str) -> tuple[int, str, str] | None:
     at = next((i for i, (a, b) in enumerate(zip(text, expected)) if a != b),
               min(len(text), len(expected)))
     return at, text[max(0, at - 40):at + 40], expected[max(0, at - 40):at + 40]
+
+
+def reference_arrangement_from_document(doc) -> tuple[Arrangement, dict]:
+    """The document reader by its per-entry checks alone: every coordinate
+    pair through ``Fraction`` and every line through ``Line.from_coefficients``."""
+    def pair_to_rational(pair, where):
+        if (not isinstance(pair, (list, tuple)) or len(pair) != 2
+                or not all(isinstance(x, int) and not isinstance(x, bool) for x in pair)):
+            raise DocumentError(f"{where}: expected [numerator, denominator] integer pair")
+        num, den = pair
+        if den <= 0:
+            raise DocumentError(f"{where}: denominator must be positive")
+        f = Fraction(num, den)
+        return f.numerator if f.denominator == 1 else f
+
+    if not isinstance(doc, dict):
+        raise DocumentError("document root must be an object")
+    if doc.get("schema_version") != SCHEMA_VERSION:
+        raise DocumentError(f"unsupported schema_version {doc.get('schema_version')!r}")
+    raw_points = doc.get("points")
+    raw_lines = doc.get("lines")
+    if not isinstance(raw_points, list) or not isinstance(raw_lines, list):
+        raise DocumentError("document needs 'points' and 'lines' lists")
+    points = []
+    for i, entry in enumerate(raw_points):
+        if not isinstance(entry, (list, tuple)) or len(entry) != 2:
+            raise DocumentError(f"points[{i}]: expected [x, y]")
+        points.append(Point(pair_to_rational(entry[0], f"points[{i}].x"),
+                            pair_to_rational(entry[1], f"points[{i}].y")))
+    lines = []
+    for j, entry in enumerate(raw_lines):
+        if (not isinstance(entry, (list, tuple)) or len(entry) != 3
+                or not all(isinstance(x, int) and not isinstance(x, bool) for x in entry)):
+            raise DocumentError(f"lines[{j}]: expected [a, b, c] integer triple")
+        try:
+            lines.append(Line.from_coefficients(*entry))
+        except ValueError as exc:
+            raise DocumentError(f"lines[{j}]: {exc}") from exc
+    try:
+        arr = Arrangement(points, lines)
+    except ValueError as exc:
+        raise DocumentError(str(exc)) from exc
+    metadata = doc.get("metadata")
+    if metadata is None:
+        return arr, {}
+    if not isinstance(metadata, dict):
+        raise DocumentError("metadata must be an object")
+    return arr, metadata
 
 
 def brute_incidences(arr: Arrangement) -> set[tuple[int, int]]:

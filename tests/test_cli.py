@@ -591,8 +591,19 @@ def mutated_documents(draw):
     return data
 
 
+# A triangle in reducible coordinate pairs and non-canonical lines, which the
+# reader canonicalizes: the lines x + y + 1 = 0, y = 2 and x - y = 0 and the
+# points (-3, 2), (2, 2) and (-1/2, -1/2) where they cross.
+OFF_COMMON_FORM = (b'{"schema_version": "1", "points": [[[-6, 2], [4, 2]], [[4, 2], [2, 1]], '
+                   b'[[-2, 4], [-3, 6]]], "lines": [[2, 2, 2], [0, -2, 4], [-1, 1, 0]]}')
+CANONICAL_FORM = (b'{"schema_version": "1", "points": [[[-3, 1], [2, 1]], [[2, 1], [2, 1]], '
+                  b'[[-1, 2], [-1, 2]]], "lines": [[1, 1, 1], [0, 1, -2], [1, -1, 0]]}')
+
+
 class TestFuzzedDocuments:
     @given(mutated_documents(), st.sampled_from(COMMANDS))
+    @example(OFF_COMMON_FORM, ["analyze"])
+    @example(OFF_COMMON_FORM, ["theorem1", "--k", "3", "--c", "auto"])
     @example(b'{"schema_version": "1", "points": [[[1, 0], [0, 1]]], "lines": []}', ["analyze"])
     @example(b'{"schema_version": "1", "points": [[[1, 1], [true, 1]]], "lines": []}', ["analyze"])
     @example(b'{"schema_version": "1", "points": [], "lines": [[1, "0", 0]]}', ["analyze"])
@@ -611,6 +622,17 @@ class TestFuzzedDocuments:
             argv = [os.path.join(tmp, "out.svg") if arg == "SVG" else arg for arg in command]
             code = main(argv + ["--input", doc, "--output", os.path.join(tmp, "out")])
         assert code in (0, 2, 3)
+
+    def test_off_common_form_reports_as_its_canonical_form(self, tmp_path):
+        for argv in (["analyze"], ["partition", "--r", "2"], ["theorem1", "--k", "3", "--c", "auto"]):
+            reports = []
+            for name, data in (("off", OFF_COMMON_FORM), ("canonical", CANONICAL_FORM)):
+                (tmp_path / f"{name}.json").write_bytes(data)
+                out = tmp_path / f"{name}.out"
+                assert main(argv + ["--input", str(tmp_path / f"{name}.json"),
+                                    "--output", str(out)]) == 0
+                reports.append(out.read_bytes())
+            assert reports[0] == reports[1], argv
 
 
 class TestRandomArrangement:

@@ -1,18 +1,22 @@
-"""The canonical writer and the reader's limits.
+"""The canonical writer, the reader and the reader's limits.
 
 ``dumps_canonical`` must give exactly the text of ``reference_dumps`` (json's
 own indenting) for every JSON value, every generated document and every
-report the commands write; the reader must refuse what JSON cannot carry.
+report the commands write; ``arrangement_from_document`` must read every
+decoded document as ``reference_arrangement_from_document`` does; the reader
+must refuse what JSON cannot carry.
 """
 
+import copy
 import json
 
 import pytest
-from conftest import first_difference, reference_dumps
+from conftest import (IntSubclass, first_difference, reference_arrangement_from_document,
+                      reference_dumps)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from incidences import Point, grid_construction, spanned_lines
+from incidences import Arrangement, Point, grid_construction, spanned_lines
 from incidences import cli
 from incidences.cli import main, random_arrangement
 from incidences.documents import (DocumentError, arrangement_from_document,
@@ -120,6 +124,71 @@ class TestCanonicalWriter:
                 dumps_canonical(value)
 
 
+# Entries off the writer's form that the reader accepts (on grid 2, the last
+# point and line repeat one of the grid's), and entries it refuses.
+OFF_FORM_POINTS = [
+    [[2, 4], [0, 1]], [[4, 2], [-6, 3]], [[1, 3], [0, 1]], ([1, 1], [2, 1]), [(1, 1), [2, 1]],
+    [[IntSubclass(3), 1], [0, 1]], [[0, 1], [2, IntSubclass(1)]], [[2, 2], [6, 2]]]
+REFUSED_POINTS = [
+    [[1, 1], [3, 0]], [[1, -2], [0, 1]], [[True, 1], [0, 1]], [[0, 1], [1, False]],
+    [[0, 1], [2, True]], [[1], [0, 1]], [[0, 1], [1, 1, 1]], [[1.0, 1], [0, 1]], [[0, 1], "1"],
+    [[0, 1], None], [[0, 1]], [[0, 1], [0, 1], [0, 1]], [], "p", None, 7, {"x": [1, 1]}]
+OFF_FORM_LINES = [[2, 2, 2], [-1, 1, 0], [-3, 6, 9], [1, IntSubclass(0), 0],
+                  [IntSubclass(2), 0, 2], (1, 0, 0), (0, 1, 3), [0, -2, 2]]
+REFUSED_LINES = [[0, 0, 1], [0, 0, 0], [0, 0, -4], [True, 0, 0], [1, 0, False], [1, 0],
+                 [1, 0, 0, 0], [1, "0", 0], [1.0, 0, 0], [1, None, 0], [], None, "l"]
+
+common_point = st.lists(st.builds(lambda n: [n, 1], st.integers(-3, 3)), min_size=2, max_size=2)
+good_point = st.one_of(common_point, common_point, st.sampled_from(OFF_FORM_POINTS))
+bad_point = st.one_of(st.sampled_from(REFUSED_POINTS), json_value)
+common_line = st.lists(st.integers(-3, 3), min_size=3, max_size=3).filter(lambda e: e[0] or e[1])
+good_line = st.one_of(common_line, common_line, st.sampled_from(OFF_FORM_LINES))
+bad_line = st.one_of(st.sampled_from(REFUSED_LINES), json_value)
+
+
+def _with_one_bad(good, bad):
+    """Lists of good entries, some with one bad entry or a duplicate inserted."""
+    @st.composite
+    def entries(draw):
+        found = draw(st.lists(good, max_size=5))
+        if draw(st.integers(0, 2)) == 2:
+            found.insert(draw(st.integers(0, len(found))), draw(bad))
+        if found and draw(st.integers(0, 3)) == 3:   # an exact duplicate
+            found.insert(draw(st.integers(0, len(found))),
+                         copy.deepcopy(draw(st.sampled_from(found))))
+        return found
+    return entries()
+
+
+@st.composite
+def decoded_documents(draw):
+    """Documents as ``loads_document`` gives them, plus tuples, ``int``
+    subclasses and other values only a caller in Python can pass."""
+    doc = {"schema_version": "1", "points": draw(_with_one_bad(good_point, bad_point)),
+           "lines": draw(_with_one_bad(good_line, bad_line))}
+    if draw(st.booleans()):
+        doc["metadata"] = draw(st.one_of(st.dictionaries(json_text, json_value, max_size=2),
+                                         json_value))
+    if draw(st.integers(0, 5)) == 5:   # a missing or wrong top-level value
+        key = draw(st.sampled_from(sorted(doc)))
+        if draw(st.booleans()):
+            del doc[key]
+        else:
+            doc[key] = draw(json_value)
+    return draw(st.one_of(st.just(doc), st.just(doc), st.just(doc), json_value))
+
+
+def _reading(read, doc):
+    """What a reader makes of ``doc``: its error, or every value with its type."""
+    try:
+        arr, metadata = read(doc)
+    except DocumentError as exc:
+        return "raised", str(exc)
+    return ("read", [(p.x, type(p.x), p.y, type(p.y)) for p in arr.points],
+            [(ln.a, type(ln.a), ln.b, type(ln.b), ln.c, type(ln.c)) for ln in arr.lines],
+            metadata)
+
+
 def _document_with_metadata(metadata_text):
     text = reference_dumps(arrangement_to_document(grid_construction(3)))
     return text[:text.rindex("}")] + ', "metadata": ' + metadata_text + "}\n"
@@ -139,6 +208,31 @@ class TestReader:
         if text is not None:
             doc = _document_with_metadata(text)
         assert arrangement_from_document(loads_document(doc))[1] == {}
+
+    @given(decoded_documents())
+    @settings(max_examples=300, deadline=None)
+    def test_reads_as_the_per_entry_reference(self, doc):
+        assert _reading(arrangement_from_document, doc) == \
+            _reading(reference_arrangement_from_document, doc)
+
+    @pytest.mark.parametrize("name, entry", [
+        *(("points", e) for e in OFF_FORM_POINTS + REFUSED_POINTS),
+        *(("lines", e) for e in OFF_FORM_LINES + REFUSED_LINES)], ids=repr)
+    def test_each_entry_reads_as_the_reference(self, name, entry):
+        for arr in (Arrangement([], []), grid_construction(2)):
+            written = arrangement_to_document(arr, {"n": arr.n_points})
+            for at in sorted({0, len(written[name]) // 2, len(written[name])}):
+                doc = copy.deepcopy(written)
+                doc[name].insert(at, entry)
+                assert _reading(arrangement_from_document, doc) == \
+                    _reading(reference_arrangement_from_document, doc)
+
+    @pytest.mark.parametrize("n", [1, 3, 6])
+    def test_written_documents_read_as_the_reference(self, n):
+        for arr in (grid_construction(n), random_arrangement(n, 4 * n, 3 * n, 30)):
+            doc = loads_document(dumps_canonical(arrangement_to_document(arr, {"n": n})))
+            assert _reading(arrangement_from_document, doc) == \
+                _reading(reference_arrangement_from_document, doc)
 
 
 # Nesting shapes for metadata: lists encoded whole, a list with a string leaf

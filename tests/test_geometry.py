@@ -4,6 +4,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
+from conftest import IntSubclass
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -32,15 +33,42 @@ class TestCanonicalForms:
             Line(2, -2, 4)  # not reduced
         with pytest.raises(ValueError):
             Line(-1, 0, 0)  # not sign-canonical
+        for args, message in [((2, 2, 2), r"coefficients \(2, 2, 2\) not reduced"),
+                              ((-1, 1, 0), r"coefficients \(-1, 1, 0\) not sign-canonical"),
+                              ((0, -2, 4), r"coefficients \(0, -2, 4\) not reduced"),
+                              ((0, 0, 1), r"^\(a, b\) == \(0, 0\) does not define a line$")]:
+            with pytest.raises(ValueError, match=message):
+                Line(*args)
+            with pytest.raises(ValueError, match=message):
+                Line(*(IntSubclass(v) for v in args))
 
     def test_point_normalizes_integral_fractions(self):
         p = Point(Fraction(4, 2), Fraction(1, 3))
         assert p.x == 2 and isinstance(p.x, int)
         assert p.y == Fraction(1, 3)
+        for p, expected in ((Point(Fraction(4, 2), 5), Point(2, 5)),
+                            (Point(5, Fraction(4, 2)), Point(5, 2))):
+            assert p == expected and type(p.x) is int and type(p.y) is int
+        assert type(as_rational(Fraction(4, 2))) is int
+        # An int subclass is accepted as it is, as a coordinate and a coefficient.
+        p = Point(IntSubclass(3), 4)
+        assert p == Point(3, 4) and type(p.x) is IntSubclass and type(p.y) is int
+        assert type(as_rational(IntSubclass(3))) is IntSubclass
+        assert Line(IntSubclass(1), 0, IntSubclass(-2)) == Line(1, 0, -2)
 
     def test_point_rejects_floats(self):
         with pytest.raises(TypeError):
             Point(0.5, 1)
+        for args in [(1, 0.5), (0.0, 0), (2, 2.0)]:
+            with pytest.raises(TypeError):
+                Point(*args)
+        with pytest.raises(TypeError):
+            as_rational(1.0)
+        for args in [(1.0, 0, 0), (1, 0.0, 0), (1, 0, 2.0)]:
+            with pytest.raises(ValueError, match="line coefficients must be ints"):
+                Line(*args)
+            with pytest.raises(TypeError):
+                Line.from_coefficients(*args)
 
     def test_as_rational_string(self):
         assert as_rational("3/4") == Fraction(3, 4)
@@ -96,10 +124,19 @@ class TestFromCoefficients:
         with pytest.raises(ValueError):
             Line.from_coefficients(Fraction(0), "0", c)
 
-    @pytest.mark.parametrize("args", [(True, 1, 0), (1, False, 0), (1, 1, True)])
+    @pytest.mark.parametrize("args", [(True, 1, 0), (1, False, 0), (1, 1, True),
+                                      (False, True, 0), (True, True, True)])
     def test_bool_rejected(self, args):
         with pytest.raises(TypeError):
             Line.from_coefficients(*args)
+        with pytest.raises(ValueError, match="line coefficients must be ints"):
+            Line(*args)
+        flag = next(v for v in args if type(v) is bool)
+        for point in ((flag, 0), (0, flag)):
+            with pytest.raises(TypeError, match="bool is not a coordinate"):
+                Point(*point)
+        with pytest.raises(TypeError, match="bool is not a coordinate"):
+            as_rational(flag)
 
 
 class TestIncident:
