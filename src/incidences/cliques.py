@@ -10,16 +10,16 @@ arrangement points) are found by exact clique enumeration over a degeneracy
 ordering: at the scales this toolkit runs at, exhaustive enumeration is both
 feasible and a stronger certificate than any counting argument.  One
 enumerator, ``k_cliques``, serves both views of that search: the line view
-here (cliques filtered by ``degenerate_filter``) and the point view of the
-``theorem1`` search (cliques of the joined-pair graph filtered by
-``collinear``).  Before it enumerates, ``k_cliques`` colours the graph
-greedily and stops at once when fewer than k colours suffice (the colour
-bound of Tomita & Seki, DMTCS 2003): a proper colouring gives the vertices
-of a clique pairwise distinct colours, so such a graph has no k-clique.
-Most cells the ``theorem1`` search tries without success are proved empty
-this way.  ``count_triangles`` enumerates no triple at all: it counts
-the joined-pair graph's triangles and subtracts the collinear ones, which the
-arrangement's lines count exactly.
+here (edges labelled by crossing point) and the point view of the
+``theorem1`` search (edges labelled by line).  It never takes two edges at a
+vertex that share a label: they close a degenerate triple.  Before it
+enumerates, it colours the graph greedily and stops at once when fewer than k
+colours suffice (the colour bound of Tomita & Seki, DMTCS 2003): a proper
+colouring gives the vertices of a clique pairwise distinct colours, so such a
+graph has no k-clique.  Most cells the ``theorem1`` search tries without
+success are proved empty this way.  ``count_triangles`` enumerates no triple
+at all: it counts the joined-pair graph's triangles and subtracts the
+collinear ones, which the arrangement's lines count exactly.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import combinations
 from math import comb
-from typing import Iterable, Iterator, Mapping
+from typing import Collection, Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .arrangement import Arrangement
 from .geometry import concurrent
@@ -93,7 +93,7 @@ def build_graph(arr: Arrangement, kept_points: Iterable[int]) -> IntersectionGra
     return IntersectionGraph(arr.n_lines, edges, kept)
 
 
-def _degeneracy_order(n: int, adj: list[set[int]]) -> list[int]:
+def _degeneracy_order(n: int, adj: Sequence[Collection[int]]) -> list[int]:
     """Removal order by repeatedly deleting a min-degree vertex (ties by index).
 
     Bucket queue (Matula & Beck): bucket d is a heap of vertex indices that
@@ -127,7 +127,7 @@ def _degeneracy_order(n: int, adj: list[set[int]]) -> list[int]:
     return order
 
 
-def _greedy_colours(later: list[set[int]], k: int) -> int:
+def _greedy_colours(later: Sequence[Collection[int]], k: int) -> int:
     """Colours used by a greedy colouring of the ranked graph, counted up to k.
 
     Ranks are coloured from the last to the first, each taking the least
@@ -150,14 +150,24 @@ def _greedy_colours(later: list[set[int]], k: int) -> int:
     return used
 
 
-def k_cliques(n: int, edges: Iterable[tuple[int, int]], k: int) -> Iterator[tuple[int, ...]]:
-    """Every k-clique of the graph on vertices 0..n-1, as sorted vertex tuples.
+def k_cliques(n: int, edges: Mapping[tuple[int, int], Hashable], k: int) -> Iterator[tuple[int, ...]]:
+    """Every general-position k-clique on vertices 0..n-1, as sorted tuples.
+
+    ``edges`` maps each edge (i, j), either way round, to a label other than
+    None; two edges at one vertex must share a label exactly when their three
+    endpoints are degenerate.  Both callers' labels do, since two points span
+    at most one line (point view, labelled by line) and two lines meet in at
+    most one point (line view, labelled by crossing point).
 
     Vertices are ranked by ``_degeneracy_order`` and cliques come out in
     lexicographic order of their rank tuples, so the first clique found is
     fixed by the graph alone.  Each top-level vertex starts from its later
-    neighbours only (Chiba & Nishizeki, SIAM J. Comput. 1985), not from a scan
-    of every later vertex.
+    neighbours only (Chiba & Nishizeki, SIAM J. Comput. 1985).  When v joins
+    the base, a candidate u is dropped if its label on (v, u) is the label on
+    (b, v) for a base vertex b, since b, v, u are degenerate.  A clique's
+    degenerate triple a < b < c (by rank) has one label on all three edges, so
+    c is dropped when b joins a.  Only prefixes whose every extension is
+    degenerate are pruned, so the other cliques keep their order.
 
     Nothing is enumerated when ``_greedy_colours`` uses fewer than k colours
     (Tomita & Seki, DMTCS 2003).  The bound is exact: the vertices of a clique
@@ -167,15 +177,16 @@ def k_cliques(n: int, edges: Iterable[tuple[int, int]], k: int) -> Iterator[tupl
     k-cliques or changes nothing, so the output and its order never depend
     on it.
     """
-    adj: list[set[int]] = [set() for _ in range(n)]
-    for i, j in edges:
-        adj[i].add(j)
-        adj[j].add(i)
+    adj: list[dict[int, Hashable]] = [{} for _ in range(n)]
+    for (i, j), label in edges.items():
+        adj[i][j] = label
+        adj[j][i] = label
     order = _degeneracy_order(n, adj)
     rank = [0] * n
     for p, v in enumerate(order):
         rank[v] = p
-    later = [{rank[w] for w in adj[v] if rank[w] > p} for p, v in enumerate(order)]
+    # later[p]: rank of each later neighbour -> the label of its edge to p.
+    later = [{rank[w]: lab for w, lab in adj[v].items() if rank[w] > p} for p, v in enumerate(order)]
     if _greedy_colours(later, k) < k:
         return
 
@@ -187,7 +198,10 @@ def k_cliques(n: int, edges: Iterable[tuple[int, int]], k: int) -> Iterator[tupl
         for idx, v in enumerate(candidates):
             if len(candidates) - idx < need:
                 break
-            nxt = [u for u in candidates[idx + 1:] if u in later[v]]
+            at_v = later[v]
+            # None refuses the candidates not adjacent to v, in the same lookup.
+            refused = {None, *(later[b][v] for b in base)}
+            nxt = [u for u in candidates[idx + 1:] if at_v.get(u) not in refused]
             if len(nxt) >= need - 1:
                 base.append(v)
                 yield from extend(base, nxt)
@@ -217,21 +231,16 @@ def degenerate_filter(lines) -> bool:
 
 
 def enumerate_complete_tuples(g: IntersectionGraph, arr: Arrangement, k: int) -> list[CompleteTuple]:
-    """Every certified complete k-tuple of the graph, deterministic order.
+    """Every complete k-tuple of ``g`` (built from ``arr``), deterministic order.
 
-    Enumerates all k-cliques along a degeneracy ordering, attaches the
-    witnessing crossing point of every pair, and keeps only tuples passing the
-    general-position certificate; an empty list is a valid outcome.
+    The edges' crossing-point labels keep ``k_cliques`` to lines in general
+    position; each tuple carries the witnessing point of every pair.  An empty
+    list is a valid outcome.
     """
     if k < 3:
         raise ValueError("k must be >= 3")
-    results: list[CompleteTuple] = []
-    for lines_idx in k_cliques(g.n_vertices, g.edges, k):
-        if not degenerate_filter([arr.lines[i] for i in lines_idx]):
-            continue
-        witnesses = {pair: g.edges[pair] for pair in combinations(lines_idx, 2)}
-        results.append(CompleteTuple(lines_idx, witnesses))
-    return results
+    return [CompleteTuple(lines_idx, {pair: g.edges[pair] for pair in combinations(lines_idx, 2)})
+            for lines_idx in k_cliques(g.n_vertices, g.edges, k)]
 
 
 def count_triangles(arr: Arrangement) -> int:

@@ -13,9 +13,9 @@ certify the result.  The search:
   4. reads the cell's joined-pair graph off the incidence index (one vertex
      per cell point, each edge labelled with the arrangement line through its
      two points, only pairs inside one run on lines holding >= k) and takes
-     the first k-clique with no ``collinear`` triple.  By projective duality
-     this is the dual search for k lines in general position, with no dual
-     built,
+     the first k-clique with no collinear triple, which the clique search
+     prunes by edge label.  By projective duality this is the dual search for
+     k lines in general position, with no dual built,
   5. attaches a locality certificate to the k points: for every pair, the
      number of arrangement points strictly inside the open connecting
      segment is less than k.
@@ -34,7 +34,7 @@ from typing import Mapping
 
 from .arrangement import Arrangement
 from .cliques import k_cliques
-from .geometry import Point, as_rational, collinear, incident, strictly_between
+from .geometry import as_rational, collinear, incident, strictly_between
 from .partition import PartitionCell, PartitionResult, partition
 from .roots import ceil_scaled_pow23, pow43_bounds, sqrt_bounds
 
@@ -227,16 +227,6 @@ def revalidate_certificate(arr: Arrangement, cert: CompleteTupleCertificate) -> 
             raise CertificateError(f"locality of {(pi, pj)} not below k")
 
 
-def _first_general_position_clique(points: list[Point], edges: Mapping[tuple[int, int], int],
-                                   k: int) -> tuple[int, ...] | None:
-    """The first k-clique in ``k_cliques`` order whose points have no collinear triple."""
-    for clique in k_cliques(len(points), edges, k):
-        if not any(collinear(points[a], points[b], points[c])
-                   for a, b, c in combinations(clique, 3)):
-            return clique
-    return None
-
-
 def _attempt_cell(arr: Arrangement, cell: PartitionCell, cell_lines: dict[int, list[int]],
                   cell_index: int, floor_sum: int, cfg: PipelineConfig, r: int
                   ) -> tuple[CompleteTupleCertificate | None, CellAttempt]:
@@ -246,9 +236,9 @@ def _attempt_cell(arr: Arrangement, cell: PartitionCell, cell_lines: dict[int, l
     point in index order; edge (i, j) is labelled with the index of the
     arrangement line through both.  On a line holding >= k cell points, only
     pairs inside one k-point run are used, which keeps the final tuple local.
-    The first clique with no ``collinear`` triple wins: three points are
-    collinear exactly when their dual lines fail ``degenerate_filter``, so
-    this is the dual line search done in the primal.
+    The first clique of ``k_cliques``, which the line labels keep free of
+    collinear triples, wins: this is the dual search for lines that pass
+    ``degenerate_filter``, done in the primal.
     """
     # line -> its cell points (>= 2 of them), ordered along the line.
     by_line = {li: members for li, members in sorted(cell_lines.items()) if len(members) >= 2}
@@ -262,8 +252,7 @@ def _attempt_cell(arr: Arrangement, cell: PartitionCell, cell_lines: dict[int, l
                 assert (u, v) not in edges, "two distinct lines crossing twice"
                 edges[u, v] = li
 
-    clique = _first_general_position_clique([arr.points[pi] for pi in sub_point_idx],
-                                            edges, cfg.k)
+    clique = next(k_cliques(len(sub_point_idx), edges, cfg.k), None)
     attempt = CellAttempt(cell_index, floor_sum, len(by_line), len(edges), clique is not None)
     if clique is None:
         return None, attempt

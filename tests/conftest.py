@@ -149,6 +149,25 @@ def brute_complete_line_tuples(arr: Arrangement, kept_points: set[int], k: int) 
     return result
 
 
+def distinct_labels(edges) -> dict:
+    """Each edge its own label: ``k_cliques`` then prunes nothing."""
+    return {e: i for i, e in enumerate(edges)}
+
+
+def first_collinear_free_clique(points: list[Point], edges, k: int) -> tuple[int, ...] | None:
+    """The first k-clique in ``k_cliques`` order whose points have no
+    collinear triple, found by filtering after the search.  Every edge gets
+    its own label, so ``k_cliques`` (itself checked against brute force)
+    prunes nothing and only the ``collinear`` test decides."""
+    from incidences import collinear
+    from incidences.cliques import k_cliques
+    for clique in k_cliques(len(points), distinct_labels(edges), k):
+        if not any(collinear(points[a], points[b], points[c])
+                   for a, b, c in combinations(clique, 3)):
+            return clique
+    return None
+
+
 def random_nonvertical_arrangement(seed: int, n_points: int, n_lines: int,
                                    bound: int = 60) -> Arrangement:
     """Random arrangement guaranteed shear-generic (no vertical lines)."""

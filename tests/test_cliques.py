@@ -16,7 +16,7 @@ from incidences import (Arrangement, Line, NotFoundReport, PipelineConfig, Point
 from incidences.cli import random_arrangement
 from incidences.cliques import _degeneracy_order, k_cliques
 from conftest import (brute_complete_line_tuples, brute_degeneracy_order,
-                      brute_triangles, random_nonvertical_arrangement)
+                      brute_triangles, distinct_labels, random_nonvertical_arrangement)
 
 
 def crossing_arrangement(lines):
@@ -150,14 +150,15 @@ def random_edges(rng, n, p, isolated=()):
 def run_graph(rng, n, k, groups):
     """Edge-disjoint cliques on 2..k random vertices, as the search's cell
     graphs are: each line's run of k points, or all of a line's fewer points,
-    is a clique, and two lines share at most one point."""
-    edges = set()
+    is a clique, and two lines share at most one point.  Each edge maps to
+    the vertex set of its group, as a cell graph's edge maps to its line."""
+    edges = {}
     for _ in range(groups):
-        group = sorted(rng.sample(range(n), rng.randint(2, k)))
-        pairs = set(combinations(group, 2))
-        if not pairs & edges:
-            edges |= pairs
-    return sorted(edges)
+        group = frozenset(rng.sample(range(n), rng.randint(2, k)))
+        pairs = set(combinations(sorted(group), 2))
+        if not pairs & edges.keys():
+            edges.update(dict.fromkeys(pairs, group))
+    return dict(sorted(edges.items()))
 
 
 def spy_colours(monkeypatch):
@@ -190,7 +191,31 @@ class TestKCliques:
         k = rng.randint(3, 5)
         isolated = set(rng.sample(range(n), n // 5))
         edges = random_edges(rng, n, rng.choice((0.5, 0.7, 0.9)), isolated)
-        assert list(k_cliques(n, edges, k)) == brute_k_cliques(n, edges, k)
+        assert list(k_cliques(n, distinct_labels(edges), k)) == brute_k_cliques(n, edges, k)
+
+    def test_group_labels_prune_exactly_the_triples_inside_one_group(self):
+        """Labelled by group, a union of edge-disjoint cliques yields every
+        clique with no three vertices inside one group, in brute-force order."""
+        rng = random.Random(12)
+        pruned = kept = 0
+        for _ in range(80):
+            n = rng.randint(6, 24)
+            k = rng.randint(3, 5)
+            edges = run_graph(rng, n, k, rng.randint(1, 3 * n))
+            brute = brute_k_cliques(n, edges, k)
+            groups = set(edges.values())
+            expected = [c for c in brute if not any(set(t) <= group for group in groups
+                                                    for t in combinations(c, 3))]
+            assert list(k_cliques(n, edges, k)) == expected
+            pruned += len(brute) - len(expected)
+            kept += len(expected)
+        assert pruned > 20 and kept > 20   # both outcomes are exercised
+
+    def test_one_label_class_has_no_clique(self):
+        """Forty vertices pairwise joined with one label are 40 points on one
+        line: 658,008 5-cliques, none of them in general position."""
+        edges = dict.fromkeys(combinations(range(40), 2), 0)
+        assert list(k_cliques(40, edges, 5)) == []
 
 
 class TestColourBound:
@@ -204,7 +229,7 @@ class TestColourBound:
             n = rng.randint(0, 25)
             k = rng.randint(3, 5)
             edges = random_edges(rng, n, rng.choice((0.1, 0.2, 0.3)))
-            assert list(k_cliques(n, edges, k)) == brute_k_cliques(n, edges, k)
+            assert list(k_cliques(n, distinct_labels(edges), k)) == brute_k_cliques(n, edges, k)
         fired = sum(used < k for k, used in seen)
         assert len(seen) == 60 and 10 < fired < 50   # both paths are exercised
 
@@ -215,7 +240,7 @@ class TestColourBound:
             n = rng.randint(6, 24)
             k = rng.randint(3, 5)
             edges = run_graph(rng, n, k, rng.randint(1, 3 * n))
-            assert list(k_cliques(n, edges, k)) == brute_k_cliques(n, edges, k)
+            assert list(k_cliques(n, distinct_labels(edges), k)) == brute_k_cliques(n, edges, k)
         fired = sum(used < k for k, used in seen)
         assert len(seen) == 60 and 5 < fired < 55
 
@@ -228,7 +253,7 @@ class TestColourBound:
         """An odd cycle needs 3 colours and the Groetzsch graph 4, yet neither
         has a triangle: the bound cannot fire and the search finds nothing."""
         seen = spy_colours(monkeypatch)
-        assert list(k_cliques(n, edges, k)) == []
+        assert list(k_cliques(n, distinct_labels(edges), k)) == []
         assert seen == [(k, k)]
 
     @pytest.mark.parametrize("k", [3, 4, 5, 6])
@@ -238,7 +263,7 @@ class TestColourBound:
         or without pendant vertices hung on its vertices."""
         seen = spy_colours(monkeypatch)
         edges = [*combinations(range(k), 2), *((i % k, k + i) for i in range(pendants))]
-        assert list(k_cliques(k + pendants, edges, k)) == [tuple(range(k))]
+        assert list(k_cliques(k + pendants, distinct_labels(edges), k)) == [tuple(range(k))]
         assert seen == [(k, k)]
 
     @pytest.mark.parametrize("k", [3, 4])
@@ -248,7 +273,7 @@ class TestColourBound:
         index uses 4 colours on it, one in reverse degeneracy order 2."""
         seen = spy_colours(monkeypatch)
         edges = [(2 * i, 2 * j + 1) for i in range(4) for j in range(4) if i != j]
-        assert list(k_cliques(8, edges, k)) == []
+        assert list(k_cliques(8, distinct_labels(edges), k)) == []
         assert seen == [(k, 2)]
 
     def test_proves_the_grid12_k4_cells_empty(self, monkeypatch):
@@ -279,12 +304,12 @@ class TestDegeneracyOrder:
 
     def test_matches_the_min_scan_on_a_grid6_cell(self, monkeypatch):
         graphs = []
-        real = pipeline._first_general_position_clique
+        real = pipeline.k_cliques
 
-        def spy(points, edges, k):
-            graphs.append((len(points), edges))
-            return real(points, edges, k)
-        monkeypatch.setattr(pipeline, "_first_general_position_clique", spy)
+        def spy(n, edges, k):
+            graphs.append((n, edges))
+            return real(n, edges, k)
+        monkeypatch.setattr(pipeline, "k_cliques", spy)
         arr = grid_construction(6)
         find_complete_tuple(arr, PipelineConfig(k=4, c=measured_density(arr)))
         n, edges = graphs[0]
@@ -317,22 +342,35 @@ class TestEnumerateCompleteTuples:
         assert len(g.edges) == 20 * 19 // 2
         assert enumerate_complete_tuples(g, concurrent_pencil, 3) == []
 
-    def test_grid3_matches_brute_force(self):
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_grid3_matches_brute_force(self, k):
         arr = grid_construction(3)
         kept = multiplicity_filter(arr, 3)
         g = build_graph(arr, kept)
-        found = enumerate_complete_tuples(g, arr, 3)
-        assert len(found) >= 1
-        brute = brute_complete_line_tuples(arr, kept, 3)
+        found = enumerate_complete_tuples(g, arr, k)
+        assert len(found) == {3: 14, 4: 0}[k]   # grid 3 has no complete 4-tuple
+        brute = brute_complete_line_tuples(arr, kept, k)
         assert sorted(t.line_indices for t in found) == sorted(brute)
 
+    @pytest.mark.parametrize("k", [3, 4])
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_random_small_instances_match_brute_force(self, seed):
+    def test_random_small_instances_match_brute_force(self, seed, k):
         arr = random_arrangement(seed, 14, 9, 30)
         kept = set(range(arr.n_points))
         g = build_graph(arr, kept)
-        found = enumerate_complete_tuples(g, arr, 3)
-        brute = brute_complete_line_tuples(arr, kept, 3)
+        found = enumerate_complete_tuples(g, arr, k)
+        brute = brute_complete_line_tuples(arr, kept, k)
+        assert sorted(t.line_indices for t in found) == sorted(brute)
+
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    def test_spanned_lattice3_matches_brute_force(self, grid3x3, k):
+        """Every lattice point lies on four spanned lines, so the graph's
+        concurrent cliques (129 of them at k = 4) outnumber the complete
+        tuples, and the label pruning must remove exactly them."""
+        kept = set(range(grid3x3.n_points))
+        g = build_graph(grid3x3, kept)
+        found = enumerate_complete_tuples(g, grid3x3, k)
+        brute = brute_complete_line_tuples(grid3x3, kept, k)
         assert sorted(t.line_indices for t in found) == sorted(brute)
 
     def test_witnesses_label_each_pair(self, triangle_arrangement):

@@ -16,7 +16,25 @@ from incidences import (Arrangement, CompleteTupleCertificate, Line,
                         spanned_lines)
 from incidences import pipeline
 from incidences.cli import random_arrangement
-from conftest import pair_joined
+from conftest import first_collinear_free_clique, pair_joined
+
+
+def spy_searches(monkeypatch):
+    """Record each cell search as (cell point indices, edges, first clique)."""
+    searched, cells = [], []
+    real_attempt, real_cliques = pipeline._attempt_cell, pipeline.k_cliques
+
+    def attempt(arr, cell, *args):
+        cells.append(cell.point_indices)
+        return real_attempt(arr, cell, *args)
+
+    def cliques(n, edges, k):
+        first = next(real_cliques(n, edges, k), None)
+        searched.append((cells[-1], edges, first))
+        return iter(() if first is None else (first,))
+    monkeypatch.setattr(pipeline, "_attempt_cell", attempt)
+    monkeypatch.setattr(pipeline, "k_cliques", cliques)
+    return searched
 
 
 class TestPipelineConfig:
@@ -376,21 +394,12 @@ class TestSearchSharesLibrarySteps:
         run; each edge carries the arrangement line whose dual point labels
         that edge.  Each kept edge joins two points of one run, or lies
         on a line holding fewer than k cell points."""
-        searched = []
-        real = pipeline._first_general_position_clique
-
-        def spy(points, edges, k):
-            searched.append((points, edges))
-            return real(points, edges, k)
-        monkeypatch.setattr(pipeline, "_first_general_position_clique", spy)
-
+        searched = spy_searches(monkeypatch)
         cfg = PipelineConfig(k=k, c=measured_density(arr))
         result = find_complete_tuple(arr, cfg)
         pr = partition(arr.points, result.r)
-        point_index = {p: i for i, p in enumerate(arr.points)}
         shears, on_runs = [], 0
-        for points, edges in searched:
-            pts = [point_index[p] for p in points]
+        for pts, edges, _ in searched:
             cell_points = set(pts)
             cell = next(c for c in pr.cells if set(c.point_indices) == cell_points)
             on_cell = {li: sum(1 for i in arr.points_on_line(li) if i in cell_points)
@@ -419,6 +428,23 @@ class TestSearchSharesLibrarySteps:
                     on_runs += 1
         assert any(shears) == sheared
         assert searched and on_runs
+
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    @pytest.mark.parametrize("family, size", [
+        *(("grid", n) for n in range(5, 11)), *(("lattice", m) for m in range(5, 8))])
+    def test_each_cell_yields_the_first_collinear_free_clique(self, monkeypatch, family, size, k):
+        """The label-pruned search gives, cell by cell, the clique that
+        filtering every clique for a ``collinear`` triple gives."""
+        arr = (grid_construction(size) if family == "grid" else
+               spanned_lines([(x, y) for x in range(size) for y in range(size)]))
+        searched = spy_searches(monkeypatch)
+        result = find_complete_tuple(arr, PipelineConfig(k=k, c=measured_density(arr)))
+        assert searched
+        for pts, edges, first in searched:
+            assert first == first_collinear_free_clique([arr.points[i] for i in pts], edges, k)
+        if isinstance(result, CompleteTupleCertificate):
+            pts, _, first = searched[-1]
+            assert result.point_indices == tuple(pts[v] for v in first)
 
 
 class TestRevalidation:
