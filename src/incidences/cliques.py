@@ -11,7 +11,11 @@ ordering: at the scales this toolkit runs at, exhaustive enumeration is both
 feasible and a stronger certificate than any counting argument.  One
 enumerator, ``k_cliques``, serves both views of that search: the line view
 here (edges labelled by crossing point) and the point view of the
-``theorem1`` search (edges labelled by line).  It never takes two edges at a
+``theorem1`` search (edges labelled by line).  In both, the graph is a union
+of edge-disjoint labelled cliques: the pencil of lines through a crossing
+point, or a run of points on a line.  ``k_cliques`` takes those groups as
+they are and expands no edge list; the edges at a vertex are read from its
+groups only when the search reaches it.  It never takes two edges at a
 vertex that share a label: they close a degenerate triple.  Before it
 enumerates, it colours the graph greedily and stops at once when fewer than k
 colours suffice (the colour bound of Tomita & Seki, DMTCS 2003): a proper
@@ -32,6 +36,9 @@ from typing import Collection, Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .arrangement import Arrangement
 from .geometry import concurrent
+
+# (label, vertices) per clique of a graph that is their edge-disjoint union.
+Groups = Sequence[tuple[Hashable, Collection[int]]]
 
 
 @dataclass(frozen=True)
@@ -93,8 +100,13 @@ def build_graph(arr: Arrangement, kept_points: Iterable[int]) -> IntersectionGra
     return IntersectionGraph(arr.n_lines, edges, kept)
 
 
-def _degeneracy_order(n: int, adj: Sequence[Collection[int]]) -> list[int]:
+def _degeneracy_order(n: int, groups: Groups) -> list[int]:
     """Removal order by repeatedly deleting a min-degree vertex (ties by index).
+
+    The graph is the union of the cliques on each group's vertices, and two
+    groups share at most one vertex, so no edge lies in two groups: a
+    vertex's degree is the sum of |g| - 1 over its groups, and removing it
+    lowers every other member of its groups by one.
 
     Bucket queue (Matula & Beck): bucket d is a heap of vertex indices that
     had degree d when pushed; an entry whose vertex is gone or whose degree
@@ -102,7 +114,13 @@ def _degeneracy_order(n: int, adj: Sequence[Collection[int]]) -> list[int]:
     degree by at most one, so the scan resumes one bucket down.  The order is
     exactly that of taking min((degree, index)) each time.
     """
-    degree = [len(adj[v]) for v in range(n)]
+    degree = [0] * n
+    holding: list[list[Collection[int]]] = [[] for _ in range(n)]
+    for _, members in groups:
+        others = len(members) - 1
+        for v in members:
+            degree[v] += others
+            holding[v].append(members)
     buckets: list[list[int]] = [[] for _ in range(max(degree, default=0) + 1)]
     for v in range(n):
         buckets[degree[v]].append(v)   # ascending, hence already a heap
@@ -119,26 +137,29 @@ def _degeneracy_order(n: int, adj: Sequence[Collection[int]]) -> list[int]:
         v = heappop(bucket)
         removed[v] = True
         order.append(v)
-        for w in adj[v]:
-            if not removed[w]:
-                degree[w] -= 1
-                heappush(buckets[degree[w]], w)
+        for members in holding[v]:
+            for w in members:
+                if not removed[w]:
+                    degree[w] -= 1
+                    heappush(buckets[degree[w]], w)
         d = max(d - 1, 0)
     return order
 
 
-def _greedy_colours(later: Sequence[Collection[int]], k: int) -> int:
+def _greedy_colours(at: Sequence[Groups], k: int) -> int:
     """Colours used by a greedy colouring of the ranked graph, counted up to k.
 
+    ``at[p]`` lists the groups holding rank p, as (label, member ranks).
     Ranks are coloured from the last to the first, each taking the least
-    colour that none of its later neighbours has.  Every edge joins a rank to
-    a later one, so the colouring is proper.  Counting stops at k colours,
-    which prove nothing about a k-clique.
+    colour that none of its later neighbours has: the members of its groups
+    with a larger rank.  Every edge joins a rank to a later one, so the
+    colouring is proper.  Counting stops at k colours, which prove nothing
+    about a k-clique.
     """
-    colour = [0] * len(later)
+    colour = [0] * len(at)
     used = 0
-    for p in range(len(later) - 1, -1, -1):
-        taken = {colour[q] for q in later[p]}
+    for p in range(len(at) - 1, -1, -1):
+        taken = {colour[q] for _, ranks in at[p] for q in ranks if q > p}
         c = 0
         while c in taken:
             c += 1
@@ -150,24 +171,38 @@ def _greedy_colours(later: Sequence[Collection[int]], k: int) -> int:
     return used
 
 
-def k_cliques(n: int, edges: Mapping[tuple[int, int], Hashable], k: int) -> Iterator[tuple[int, ...]]:
+def k_cliques(n: int, groups: Groups, k: int) -> Iterator[tuple[int, ...]]:
     """Every general-position k-clique on vertices 0..n-1, as sorted tuples.
 
-    ``edges`` maps each edge (i, j), either way round, to a label other than
-    None; two edges at one vertex must share a label exactly when their three
-    endpoints are degenerate.  Both callers' labels do, since two points span
-    at most one line (point view, labelled by line) and two lines meet in at
-    most one point (line view, labelled by crossing point).
+    ``groups`` is a sequence of (label, vertices): the graph is the union of
+    the cliques on each group's vertices, and every edge carries its group's
+    label, which is not None.  Two groups share at most one vertex, so no
+    edge lies in two of them; this is asserted for every edge the search
+    reads.  Two edges at one vertex must share a label exactly when their
+    three endpoints are degenerate.  Both callers' groups do: a run of points
+    on one line, labelled by the line, since two points span at most one
+    line (point view); the pencil of lines through one crossing point,
+    labelled by the point, since two lines meet at most once (line view).
 
     Vertices are ranked by ``_degeneracy_order`` and cliques come out in
     lexicographic order of their rank tuples, so the first clique found is
     fixed by the graph alone.  Each top-level vertex starts from its later
-    neighbours only (Chiba & Nishizeki, SIAM J. Comput. 1985).  When v joins
-    the base, a candidate u is dropped if its label on (v, u) is the label on
-    (b, v) for a base vertex b, since b, v, u are degenerate.  A clique's
-    degenerate triple a < b < c (by rank) has one label on all three edges, so
-    c is dropped when b joins a.  Only prefixes whose every extension is
-    degenerate are pruned, so the other cliques keep their order.
+    neighbours only (Chiba & Nishizeki, SIAM J. Comput. 1985).  A rank's
+    ``later`` map (later neighbour's rank -> label) is built from its groups
+    when the search first reaches that rank, and a top-level rank's map is
+    dropped once its subtree is done, since no later subtree reads it; a
+    search that stops at its first clique builds few of them.
+
+    Two prunes keep the search to general position.  When v joins the base,
+    a candidate u is dropped if its label on (v, u) is the label on (b, v)
+    for a base vertex b, since b, v, u are degenerate.  A clique's degenerate
+    triple a < b < c (by rank) has one label on all three edges, so c is
+    dropped when b joins a.  And a prefix is kept only if its candidates carry
+    at least need - 1 distinct labels to the vertex just added, where need
+    counts that vertex and the ones still to come (k - 1 labels among a
+    top-level vertex's later neighbours): two further members with one label
+    to v would be degenerate with v.  Both prunes remove only prefixes whose
+    every extension is degenerate, so the other cliques keep their order.
 
     Nothing is enumerated when ``_greedy_colours`` uses fewer than k colours
     (Tomita & Seki, DMTCS 2003).  The bound is exact: the vertices of a clique
@@ -177,38 +212,64 @@ def k_cliques(n: int, edges: Mapping[tuple[int, int], Hashable], k: int) -> Iter
     k-cliques or changes nothing, so the output and its order never depend
     on it.
     """
-    adj: list[dict[int, Hashable]] = [{} for _ in range(n)]
-    for (i, j), label in edges.items():
-        adj[i][j] = label
-        adj[j][i] = label
-    order = _degeneracy_order(n, adj)
+    order = _degeneracy_order(n, groups)
     rank = [0] * n
     for p, v in enumerate(order):
         rank[v] = p
-    # later[p]: rank of each later neighbour -> the label of its edge to p.
-    later = [{rank[w]: lab for w, lab in adj[v].items() if rank[w] > p} for p, v in enumerate(order)]
-    if _greedy_colours(later, k) < k:
+    # at[p]: (label, member ranks) of every group holding rank p.
+    at: list[list[tuple[Hashable, list[int]]]] = [[] for _ in range(n)]
+    for label, members in groups:
+        group = (label, [rank[v] for v in members])
+        for p in group[1]:
+            at[p].append(group)
+    if _greedy_colours(at, k) < k:
         return
-
-    def extend(base: list[int], candidates: list[int]):
-        if len(base) == k:
-            yield tuple(sorted(order[p] for p in base))
-            return
-        need = k - len(base)
-        for idx, v in enumerate(candidates):
-            if len(candidates) - idx < need:
-                break
-            at_v = later[v]
-            # None refuses the candidates not adjacent to v, in the same lookup.
-            refused = {None, *(later[b][v] for b in base)}
-            nxt = [u for u in candidates[idx + 1:] if at_v.get(u) not in refused]
-            if len(nxt) >= need - 1:
-                base.append(v)
-                yield from extend(base, nxt)
-                base.pop()
-
+    later: list[dict[int, Hashable] | None] = [None] * n
     for p in range(n):
-        yield from extend([p], sorted(later[p]))
+        at_p = _later(at, later, p)
+        if len(set(at_p.values())) >= k - 1:
+            yield from _extend(order, at, later, k, [p], sorted(at_p))
+        later[p] = None
+
+
+def _later(at: Sequence[Groups], later: list[dict[int, Hashable] | None],
+           p: int) -> dict[int, Hashable]:
+    """Rank p's later neighbours -> label, built from ``at[p]`` on first use."""
+    found = later[p]
+    if found is None:
+        found = later[p] = {}
+        for label, ranks in at[p]:
+            for q in ranks:
+                if q > p:
+                    assert q not in found, "two groups share an edge"
+                    found[q] = label
+    return found
+
+
+def _extend(order: list[int], at: Sequence[Groups], later: list[dict[int, Hashable] | None],
+            k: int, base: list[int], candidates: list[int]) -> Iterator[tuple[int, ...]]:
+    """``k_cliques``' cliques that extend the ranks in ``base`` by ``candidates``.
+
+    Every candidate is a later neighbour of each base rank and degenerate
+    with no two of them, so once one vertex is missing each candidate
+    completes a clique, and no map of its is built.
+    """
+    need = k - len(base)
+    if need == 1:
+        for v in candidates:
+            yield tuple(sorted(order[p] for p in (*base, v)))
+        return
+    for idx, v in enumerate(candidates):
+        if len(candidates) - idx < need:
+            break
+        at_v = _later(at, later, v)
+        # None refuses the candidates not adjacent to v, in the same lookup.
+        refused = {None, *(later[b][v] for b in base)}
+        nxt = [u for u in candidates[idx + 1:] if at_v.get(u) not in refused]
+        if len(nxt) >= need - 1 and len({at_v[u] for u in nxt}) >= need - 1:
+            base.append(v)
+            yield from _extend(order, at, later, k, base, nxt)
+            base.pop()
 
 
 def degenerate_filter(lines) -> bool:
@@ -233,14 +294,18 @@ def degenerate_filter(lines) -> bool:
 def enumerate_complete_tuples(g: IntersectionGraph, arr: Arrangement, k: int) -> list[CompleteTuple]:
     """Every complete k-tuple of ``g`` (built from ``arr``), deterministic order.
 
-    The edges' crossing-point labels keep ``k_cliques`` to lines in general
-    position; each tuple carries the witnessing point of every pair.  An empty
-    list is a valid outcome.
+    Each kept point's pencil is one group of ``k_cliques`` (``build_graph``
+    asserts that it is complete), and its label keeps the search to lines in
+    general position; each tuple carries the witnessing point of every pair.
+    An empty list is a valid outcome.
     """
     if k < 3:
         raise ValueError("k must be >= 3")
+    pencils: dict[int, set[int]] = {}
+    for pair, p in g.edges.items():
+        pencils.setdefault(p, set()).update(pair)
     return [CompleteTuple(lines_idx, {pair: g.edges[pair] for pair in combinations(lines_idx, 2)})
-            for lines_idx in k_cliques(g.n_vertices, g.edges, k)]
+            for lines_idx in k_cliques(g.n_vertices, list(pencils.items()), k)]
 
 
 def count_triangles(arr: Arrangement) -> int:

@@ -10,12 +10,13 @@ certify the result.  The search:
      points ("segment lines"), which keeps the output local; steps 2 and 3
      read the same cell membership (which cell points lie on which line, in
      order along it),
-  4. reads the cell's joined-pair graph off the incidence index (one vertex
-     per cell point, each edge labelled with the arrangement line through its
-     two points, only pairs inside one run on lines holding >= k) and takes
-     the first k-clique with no collinear triple, which the clique search
-     prunes by edge label.  By projective duality this is the dual search for
-     k lines in general position, with no dual built,
+  4. searches the cell's joined-pair graph (one vertex per cell point, two
+     points joined when they share a run on a line holding >= k cell points,
+     or lie on a line holding fewer) for the first k-clique with no collinear
+     triple.  The graph goes to the clique search as those runs, each a
+     clique labelled by its line, with no edge list built; the search prunes
+     collinear triples by label.  By projective duality this is the dual
+     search for k lines in general position, with no dual built,
   5. attaches a locality certificate to the k points: for every pair, the
      number of arrangement points strictly inside the open connecting
      segment is less than k.
@@ -102,8 +103,8 @@ class CellAttempt:
     """Statistics of one searched cell; each field name is its report key.
 
     ``dual_edges`` counts the edges of the cell's joined-pair graph (pairs of
-    cell points joined by a usable line); the name is kept so that reports
-    stay byte-stable.
+    cell points joined by a usable line), the sum of C(|run|, 2) over its
+    runs; the name is kept so that reports stay byte-stable.
     """
 
     cell_index: int
@@ -220,7 +221,14 @@ def revalidate_certificate(arr: Arrangement, cert: CompleteTupleCertificate) -> 
         raise CertificateError("locality map does not cover exactly all pairs")
     for (pi, pj), reported in cert.locality.items():
         p, q = arr.points[pi], arr.points[pj]
-        actual = sum(1 for z in arr.points if strictly_between(p, q, z))
+        # Only a point of the segment's open slab (of its own vertical line,
+        # for a vertical pair) can lie inside it; ``strictly_between`` decides.
+        if p.x == q.x:
+            slab = (z for z in arr.points if z.x == p.x)
+        else:
+            lo, hi = (p.x, q.x) if p.x < q.x else (q.x, p.x)
+            slab = (z for z in arr.points if lo < z.x < hi)
+        actual = sum(1 for z in slab if strictly_between(p, q, z))
         if actual != reported:
             raise CertificateError(f"locality of {(pi, pj)} is {actual}, reported {reported}")
         if reported >= k:
@@ -233,32 +241,36 @@ def _attempt_cell(arr: Arrangement, cell: PartitionCell, cell_lines: dict[int, l
     """Search one cell's joined-pair graph for k points in general position.
 
     ``cell_lines`` is the cell's ``_cell_lines``.  Vertex i is the i-th cell
-    point in index order; edge (i, j) is labelled with the index of the
-    arrangement line through both.  On a line holding >= k cell points, only
-    pairs inside one k-point run are used, which keeps the final tuple local.
-    The first clique of ``k_cliques``, which the line labels keep free of
-    collinear triples, wins: this is the dual search for lines that pass
-    ``degenerate_filter``, done in the primal.
+    point in index order.  Each line holding >= 2 cell points gives
+    ``k_cliques`` its runs as groups labelled with the line's index: its
+    k-point runs if it holds >= k cell points, which keeps the final tuple
+    local, else all of its cell points.  Two points span one line and the
+    runs of a line are disjoint, so no pair lies in two groups.  The first
+    clique of ``k_cliques``, which the line labels keep free of collinear
+    triples, wins: this is the dual search for lines that pass
+    ``degenerate_filter``, done in the primal.  Its connecting lines are read
+    off the groups.
     """
     # line -> its cell points (>= 2 of them), ordered along the line.
     by_line = {li: members for li, members in sorted(cell_lines.items()) if len(members) >= 2}
     runs_on = _runs(by_line, cfg.k)
     sub_point_idx = cell.point_indices
     vertex = {pi: i for i, pi in enumerate(sub_point_idx)}
-    edges: dict[tuple[int, int], int] = {}
-    for li, members in by_line.items():
-        for group in runs_on.get(li, [members]):
-            for u, v in combinations(sorted(vertex[pi] for pi in group), 2):
-                assert (u, v) not in edges, "two distinct lines crossing twice"
-                edges[u, v] = li
+    groups = [(li, [vertex[pi] for pi in run])
+              for li, members in by_line.items() for run in runs_on.get(li, [members])]
+    del runs_on, vertex   # only the groups are kept through the search
 
-    clique = next(k_cliques(len(sub_point_idx), edges, cfg.k), None)
-    attempt = CellAttempt(cell_index, floor_sum, len(by_line), len(edges), clique is not None)
+    clique = next(k_cliques(len(sub_point_idx), groups, cfg.k), None)
+    attempt = CellAttempt(cell_index, floor_sum, len(by_line),
+                          sum(len(run) * (len(run) - 1) // 2 for _, run in groups),
+                          clique is not None)
     if clique is None:
         return None, attempt
     point_indices = tuple(sub_point_idx[v] for v in clique)
-    connecting = {(sub_point_idx[u], sub_point_idx[v]): edges[u, v]
-                  for u, v in combinations(clique, 2)}
+    # Each pair of the clique lies in exactly one group, which names its line.
+    in_clique = set(clique)
+    connecting = {(sub_point_idx[u], sub_point_idx[v]): li for li, run in groups
+                  for u, v in combinations(sorted(in_clique.intersection(run)), 2)}
     cert = CompleteTupleCertificate(cfg.k, point_indices, connecting,
                                     locality_counts(arr, connecting), cell_index, r)
     revalidate_certificate(arr, cert)

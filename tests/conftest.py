@@ -149,9 +149,21 @@ def brute_complete_line_tuples(arr: Arrangement, kept_points: set[int], k: int) 
     return result
 
 
-def distinct_labels(edges) -> dict:
-    """Each edge its own label: ``k_cliques`` then prunes nothing."""
-    return {e: i for i, e in enumerate(edges)}
+def edge_groups(edges) -> list:
+    """Each edge its own 2-vertex group with its own label: ``k_cliques``
+    then prunes nothing."""
+    return list(enumerate(edges))
+
+
+def group_edges(groups) -> dict:
+    """The edges of a groups-form graph, each mapped to its group's label;
+    no edge may lie in two groups."""
+    edges = {}
+    for label, members in groups:
+        for pair in combinations(sorted(members), 2):
+            assert pair not in edges, "two groups share an edge"
+            edges[pair] = label
+    return edges
 
 
 def first_collinear_free_clique(points: list[Point], edges, k: int) -> tuple[int, ...] | None:
@@ -161,7 +173,7 @@ def first_collinear_free_clique(points: list[Point], edges, k: int) -> tuple[int
     prunes nothing and only the ``collinear`` test decides."""
     from incidences import collinear
     from incidences.cliques import k_cliques
-    for clique in k_cliques(len(points), distinct_labels(edges), k):
+    for clique in k_cliques(len(points), edge_groups(edges), k):
         if not any(collinear(points[a], points[b], points[c])
                    for a, b, c in combinations(clique, 3)):
             return clique

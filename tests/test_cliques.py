@@ -1,5 +1,6 @@
 """Intersection graph, clique and complete-tuple enumeration, triangles."""
 
+import gc
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -10,13 +11,14 @@ from incidences import (Arrangement, Line, NotFoundReport, PipelineConfig, Point
                         build_graph, cliques, collinear, count_triangles,
                         de_caen_szekely_monitor, degenerate_filter, dualize,
                         enumerate_complete_tuples, find_complete_tuple,
-                        grid_construction, intersection, measured_density,
-                        multiplicity_filter, pipeline, point_multiplicities,
-                        spanned_lines)
+                        generic_shear_value, grid_construction, intersection,
+                        measured_density, multiplicity_filter, pipeline,
+                        point_multiplicities, shear, spanned_lines)
 from incidences.cli import random_arrangement
 from incidences.cliques import _degeneracy_order, k_cliques
 from conftest import (brute_complete_line_tuples, brute_degeneracy_order,
-                      brute_triangles, distinct_labels, random_nonvertical_arrangement)
+                      brute_triangles, edge_groups, group_edges,
+                      random_nonvertical_arrangement)
 
 
 def crossing_arrangement(lines):
@@ -126,12 +128,17 @@ class TestDegenerateFilter:
                 ("on-pq", True), ("any", False)} <= seen
 
 
-def brute_k_cliques(n, edges, k):
-    """Every k-subset that is a clique, in lexicographic order of degeneracy ranks."""
+def adjacency(n, edges):
     adj = [set() for _ in range(n)]
     for u, v in edges:
         adj[u].add(v)
         adj[v].add(u)
+    return adj
+
+
+def brute_k_cliques(n, edges, k):
+    """Every k-subset that is a clique, in lexicographic order of degeneracy ranks."""
+    adj = adjacency(n, edges)
     order = brute_degeneracy_order(n, adj)
     return [tuple(sorted(order[r] for r in ranks))
             for ranks in combinations(range(n), k)
@@ -147,18 +154,19 @@ def random_edges(rng, n, p, isolated=()):
     return edges
 
 
-def run_graph(rng, n, k, groups):
+def run_graph(rng, n, k, tries):
     """Edge-disjoint cliques on 2..k random vertices, as the search's cell
     graphs are: each line's run of k points, or all of a line's fewer points,
-    is a clique, and two lines share at most one point.  Each edge maps to
-    the vertex set of its group, as a cell graph's edge maps to its line."""
-    edges = {}
-    for _ in range(groups):
+    is a clique, and two lines share at most one point.  Each group is
+    labelled with its vertex set, as a cell graph's run is with its line."""
+    groups, taken = [], set()
+    for _ in range(tries):
         group = frozenset(rng.sample(range(n), rng.randint(2, k)))
         pairs = set(combinations(sorted(group), 2))
-        if not pairs & edges.keys():
-            edges.update(dict.fromkeys(pairs, group))
-    return dict(sorted(edges.items()))
+        if not pairs & taken:
+            taken |= pairs
+            groups.append((group, sorted(group)))
+    return groups
 
 
 def spy_colours(monkeypatch):
@@ -166,8 +174,8 @@ def spy_colours(monkeypatch):
     seen = []
     real = cliques._greedy_colours
 
-    def spy(later, k):
-        used = real(later, k)
+    def spy(at, k):
+        used = real(at, k)
         seen.append((k, used))
         return used
     monkeypatch.setattr(cliques, "_greedy_colours", spy)
@@ -191,7 +199,7 @@ class TestKCliques:
         k = rng.randint(3, 5)
         isolated = set(rng.sample(range(n), n // 5))
         edges = random_edges(rng, n, rng.choice((0.5, 0.7, 0.9)), isolated)
-        assert list(k_cliques(n, distinct_labels(edges), k)) == brute_k_cliques(n, edges, k)
+        assert list(k_cliques(n, edge_groups(edges), k)) == brute_k_cliques(n, edges, k)
 
     def test_group_labels_prune_exactly_the_triples_inside_one_group(self):
         """Labelled by group, a union of edge-disjoint cliques yields every
@@ -201,12 +209,11 @@ class TestKCliques:
         for _ in range(80):
             n = rng.randint(6, 24)
             k = rng.randint(3, 5)
-            edges = run_graph(rng, n, k, rng.randint(1, 3 * n))
-            brute = brute_k_cliques(n, edges, k)
-            groups = set(edges.values())
-            expected = [c for c in brute if not any(set(t) <= group for group in groups
+            groups = run_graph(rng, n, k, rng.randint(1, 3 * n))
+            brute = brute_k_cliques(n, group_edges(groups), k)
+            expected = [c for c in brute if not any(set(t) <= group for group, _ in groups
                                                     for t in combinations(c, 3))]
-            assert list(k_cliques(n, edges, k)) == expected
+            assert list(k_cliques(n, groups, k)) == expected
             pruned += len(brute) - len(expected)
             kept += len(expected)
         assert pruned > 20 and kept > 20   # both outcomes are exercised
@@ -214,8 +221,31 @@ class TestKCliques:
     def test_one_label_class_has_no_clique(self):
         """Forty vertices pairwise joined with one label are 40 points on one
         line: 658,008 5-cliques, none of them in general position."""
-        edges = dict.fromkeys(combinations(range(40), 2), 0)
-        assert list(k_cliques(40, edges, 5)) == []
+        assert list(k_cliques(40, [(0, range(40))], 5)) == []
+
+    def test_two_groups_sharing_an_edge_are_refused(self):
+        """Groups {0, 1, 2} and {1, 2, 3} both hold the edge (1, 2); the
+        search reads it when it builds the later map of 1 or 2.  The edge
+        counts twice in the degrees, so a removal can drop a degree by two;
+        the K_6 on 4..9 leaves removals for the ordering scan to come back
+        down through."""
+        groups = [("a", [0, 1, 2]), ("b", [1, 2, 3]), ("c", range(4, 10))]
+        with pytest.raises(AssertionError, match="two groups share an edge"):
+            list(k_cliques(10, groups, 3))
+
+    def test_a_dropped_search_leaves_no_garbage(self):
+        """Dropping a search after its first clique frees it by reference
+        counting alone: nothing of it waits for the cyclic collector."""
+        groups = edge_groups(combinations(range(12), 2))
+        gc.disable()
+        try:
+            gc.collect()
+            search = k_cliques(12, groups, 5)
+            assert next(search) is not None
+            del search
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestColourBound:
@@ -229,7 +259,7 @@ class TestColourBound:
             n = rng.randint(0, 25)
             k = rng.randint(3, 5)
             edges = random_edges(rng, n, rng.choice((0.1, 0.2, 0.3)))
-            assert list(k_cliques(n, distinct_labels(edges), k)) == brute_k_cliques(n, edges, k)
+            assert list(k_cliques(n, edge_groups(edges), k)) == brute_k_cliques(n, edges, k)
         fired = sum(used < k for k, used in seen)
         assert len(seen) == 60 and 10 < fired < 50   # both paths are exercised
 
@@ -239,10 +269,14 @@ class TestColourBound:
         for _ in range(60):
             n = rng.randint(6, 24)
             k = rng.randint(3, 5)
-            edges = run_graph(rng, n, k, rng.randint(1, 3 * n))
-            assert list(k_cliques(n, distinct_labels(edges), k)) == brute_k_cliques(n, edges, k)
-        fired = sum(used < k for k, used in seen)
-        assert len(seen) == 60 and 5 < fired < 55
+            groups = run_graph(rng, n, k, rng.randint(1, 3 * n))
+            edges = group_edges(groups)
+            assert list(k_cliques(n, edge_groups(edges), k)) == brute_k_cliques(n, edges, k)
+            list(k_cliques(n, groups, k))
+        # The same graph and ranks colour alike from its groups or its edges.
+        assert seen[0::2] == seen[1::2]
+        fired = sum(used < k for k, used in seen[0::2])
+        assert len(seen) == 120 and 5 < fired < 55
 
     @pytest.mark.parametrize("n, edges, k", [
         (5, [(i, (i + 1) % 5) for i in range(5)], 3),
@@ -253,7 +287,7 @@ class TestColourBound:
         """An odd cycle needs 3 colours and the Groetzsch graph 4, yet neither
         has a triangle: the bound cannot fire and the search finds nothing."""
         seen = spy_colours(monkeypatch)
-        assert list(k_cliques(n, distinct_labels(edges), k)) == []
+        assert list(k_cliques(n, edge_groups(edges), k)) == []
         assert seen == [(k, k)]
 
     @pytest.mark.parametrize("k", [3, 4, 5, 6])
@@ -263,7 +297,7 @@ class TestColourBound:
         or without pendant vertices hung on its vertices."""
         seen = spy_colours(monkeypatch)
         edges = [*combinations(range(k), 2), *((i % k, k + i) for i in range(pendants))]
-        assert list(k_cliques(k + pendants, distinct_labels(edges), k)) == [tuple(range(k))]
+        assert list(k_cliques(k + pendants, edge_groups(edges), k)) == [tuple(range(k))]
         assert seen == [(k, k)]
 
     @pytest.mark.parametrize("k", [3, 4])
@@ -273,7 +307,7 @@ class TestColourBound:
         index uses 4 colours on it, one in reverse degeneracy order 2."""
         seen = spy_colours(monkeypatch)
         edges = [(2 * i, 2 * j + 1) for i in range(4) for j in range(4) if i != j]
-        assert list(k_cliques(8, distinct_labels(edges), k)) == []
+        assert list(k_cliques(8, edge_groups(edges), k)) == []
         assert seen == [(k, 2)]
 
     def test_proves_the_grid12_k4_cells_empty(self, monkeypatch):
@@ -287,7 +321,7 @@ class TestColourBound:
 
 
 class TestDegeneracyOrder:
-    """The bucket queue against the min-scan ``brute_degeneracy_order``."""
+    """The bucket queue over groups against the min-scan ``brute_degeneracy_order``."""
 
     @pytest.mark.parametrize("seed", range(20))
     def test_matches_the_min_scan_on_random_graphs(self, seed):
@@ -295,31 +329,35 @@ class TestDegeneracyOrder:
         n = rng.randint(0, 60)
         isolated = set(rng.sample(range(n), n // 5))
         p = rng.choice((0.05, 0.1, 0.3, 0.6))
-        adj = [set() for _ in range(n)]
-        for u, v in combinations(range(n), 2):
-            if u not in isolated and v not in isolated and rng.random() < p:
-                adj[u].add(v)
-                adj[v].add(u)
-        assert _degeneracy_order(n, adj) == brute_degeneracy_order(n, adj)
+        edges = [(u, v) for u, v in combinations(range(n), 2)
+                 if u not in isolated and v not in isolated and rng.random() < p]
+        adj = adjacency(n, edges)
+        assert _degeneracy_order(n, edge_groups(edges)) == brute_degeneracy_order(n, adj)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_matches_the_min_scan_on_run_graphs(self, seed):
+        rng = random.Random(100 + seed)
+        n = rng.randint(6, 60)
+        groups = run_graph(rng, n, rng.randint(3, 6), rng.randint(1, 3 * n))
+        adj = adjacency(n, group_edges(groups))
+        assert max(len(run) for _, run in groups) > 2
+        assert _degeneracy_order(n, groups) == brute_degeneracy_order(n, adj)
 
     def test_matches_the_min_scan_on_a_grid6_cell(self, monkeypatch):
         graphs = []
         real = pipeline.k_cliques
 
-        def spy(n, edges, k):
-            graphs.append((n, edges))
-            return real(n, edges, k)
+        def spy(n, groups, k):
+            graphs.append((n, groups))
+            return real(n, groups, k)
         monkeypatch.setattr(pipeline, "k_cliques", spy)
         arr = grid_construction(6)
         find_complete_tuple(arr, PipelineConfig(k=4, c=measured_density(arr)))
-        n, edges = graphs[0]
-        adj = [set() for _ in range(n)]
-        for u, v in edges:
-            adj[u].add(v)
-            adj[v].add(u)
+        n, groups = graphs[0]
+        adj = adjacency(n, group_edges(groups))
         degrees = [len(a) for a in adj]
         assert n > 20 and len(set(degrees)) < len(degrees) and 0 in degrees
-        assert _degeneracy_order(n, adj) == brute_degeneracy_order(n, adj)
+        assert _degeneracy_order(n, groups) == brute_degeneracy_order(n, adj)
 
 
 class TestEnumerateCompleteTuples:
@@ -372,6 +410,23 @@ class TestEnumerateCompleteTuples:
         found = enumerate_complete_tuples(g, grid3x3, k)
         brute = brute_complete_line_tuples(grid3x3, kept, k)
         assert sorted(t.line_indices for t in found) == sorted(brute)
+
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    def test_dual_lattice3_matches_brute_force(self, grid3x3, k):
+        """The dual of the (sheared) spanned 3x3 lattice: its lines are the
+        lattice points and its points the spanned lines, so a complete
+        k-tuple is k lattice points with no three collinear.  At k = 4 that
+        is 78 tuples among 126 unpruned cliques."""
+        s = generic_shear_value(grid3x3.lines)
+        dual = dualize(shear(grid3x3, s))
+        kept = set(range(dual.n_points))
+        g = build_graph(dual, kept)
+        found = enumerate_complete_tuples(g, dual, k)
+        brute = brute_complete_line_tuples(dual, kept, k)
+        assert sorted(t.line_indices for t in found) == sorted(brute)
+        if k == 4:
+            assert len(found) == 78
+            assert len(list(k_cliques(g.n_vertices, edge_groups(g.edges), k))) == 126
 
     def test_witnesses_label_each_pair(self, triangle_arrangement):
         g = build_graph(triangle_arrangement, {0, 1, 2})

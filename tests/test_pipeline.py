@@ -16,11 +16,11 @@ from incidences import (Arrangement, CompleteTupleCertificate, Line,
                         spanned_lines)
 from incidences import pipeline
 from incidences.cli import random_arrangement
-from conftest import first_collinear_free_clique, pair_joined
+from conftest import first_collinear_free_clique, group_edges, pair_joined
 
 
 def spy_searches(monkeypatch):
-    """Record each cell search as (cell point indices, edges, first clique)."""
+    """Record each cell search as (cell point indices, groups, first clique)."""
     searched, cells = [], []
     real_attempt, real_cliques = pipeline._attempt_cell, pipeline.k_cliques
 
@@ -28,9 +28,9 @@ def spy_searches(monkeypatch):
         cells.append(cell.point_indices)
         return real_attempt(arr, cell, *args)
 
-    def cliques(n, edges, k):
-        first = next(real_cliques(n, edges, k), None)
-        searched.append((cells[-1], edges, first))
+    def cliques(n, groups, k):
+        first = next(real_cliques(n, groups, k), None)
+        searched.append((cells[-1], groups, first))
         return iter(() if first is None else (first,))
     monkeypatch.setattr(pipeline, "_attempt_cell", attempt)
     monkeypatch.setattr(pipeline, "k_cliques", cliques)
@@ -399,7 +399,8 @@ class TestSearchSharesLibrarySteps:
         result = find_complete_tuple(arr, cfg)
         pr = partition(arr.points, result.r)
         shears, on_runs = [], 0
-        for pts, edges, _ in searched:
+        for pts, groups, _ in searched:
+            edges = group_edges(groups)
             cell_points = set(pts)
             cell = next(c for c in pr.cells if set(c.point_indices) == cell_points)
             on_cell = {li: sum(1 for i in arr.points_on_line(li) if i in cell_points)
@@ -418,7 +419,7 @@ class TestSearchSharesLibrarySteps:
                         if on_cell[lines[w]] < k or (run_of.get((lines[w], pts[u])) is not None
                                                      and run_of[lines[w], pts[u]]
                                                      == run_of.get((lines[w], pts[v])))}
-            assert dict(edges) == expected
+            assert edges == expected
             for (u, v), li in edges.items():
                 assert incident(arr.points[pts[u]], arr.lines[li])
                 assert incident(arr.points[pts[v]], arr.lines[li])
@@ -440,8 +441,9 @@ class TestSearchSharesLibrarySteps:
         searched = spy_searches(monkeypatch)
         result = find_complete_tuple(arr, PipelineConfig(k=k, c=measured_density(arr)))
         assert searched
-        for pts, edges, first in searched:
-            assert first == first_collinear_free_clique([arr.points[i] for i in pts], edges, k)
+        for pts, groups, first in searched:
+            assert first == first_collinear_free_clique([arr.points[i] for i in pts],
+                                                        group_edges(groups), k)
         if isinstance(result, CompleteTupleCertificate):
             pts, _, first = searched[-1]
             assert result.point_indices == tuple(pts[v] for v in first)
@@ -472,6 +474,28 @@ class TestRevalidation:
                                        dict(cert.locality), cert.cell_index, cert.r)
         with pytest.raises(CertificateError):
             revalidate_certificate(arr, bad)
+
+    def test_tampered_locality_of_vertical_and_fractional_pairs_rejected(self):
+        """A vertical pair and a pair with Fraction coordinates, each with one
+        point strictly inside its segment; points in each slab but off the
+        segment, and one beyond it, do not count."""
+        a, b, c = Point(0, 0), Point(0, 2), Point(Fraction(3, 2), Fraction(1, 3))
+        on_ab, on_ac = Point(0, 1), Point(Fraction(3, 4), Fraction(1, 6))
+        off = [Point(0, 7), Point(1, 5), Point(Fraction(1, 2), Fraction(-1, 3))]
+        arr = spanned_lines([a, b, c, on_ab, on_ac, *off])
+        connecting, locality = {}, {}
+        for p, q, between in ((a, b, 1), (a, c, 1), (b, c, 0)):
+            (((i, j), li),) = joining(arr, p, q).items()
+            connecting[min(i, j), max(i, j)] = li
+            locality[min(i, j), max(i, j)] = between
+        points = tuple(sorted({i for pair in connecting for i in pair}))
+        revalidate_certificate(arr, CompleteTupleCertificate(3, points, connecting, locality, 0, 1))
+        from incidences import CertificateError
+        for pair in list(locality)[:2]:   # the vertical pair, then the fractional one
+            for wrong in (0, 2):
+                bad = CompleteTupleCertificate(3, points, connecting, {**locality, pair: wrong}, 0, 1)
+                with pytest.raises(CertificateError, match="locality of"):
+                    revalidate_certificate(arr, bad)
 
 
 class TestInequalityAudit:
