@@ -12,6 +12,7 @@ Exit codes: 0 success / certificate found, 3 structure not found,
 from __future__ import annotations
 
 import argparse
+import functools
 import logging
 import math
 import os
@@ -440,20 +441,22 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--n-lines", type=int, dest="n_lines")
     g.add_argument("--bound", type=int, default=1000, help="coordinate bound for kind=random")
     g.add_argument("--output", help="output path (default: stdout)")
-    g.set_defaults(func=cmd_generate)
+    # Each command is looked up by name when it runs, not when the parser is
+    # built, so rebinding a module-level cmd_* also reaches the cached parser.
+    g.set_defaults(func=lambda args: cmd_generate(args))
 
     a = sub.add_parser("analyze", help="incidence census, rich-line bounds, triangle monitor")
     a.add_argument("--input", required=True)
     a.add_argument("--st-constant", default="1", help="constant C for the rich-line bound rows")
     common(a)
-    a.set_defaults(func=cmd_analyze)
+    a.set_defaults(func=lambda args: cmd_analyze(args))
 
     p = sub.add_parser("partition", help="balanced cells and crossing profile")
     p.add_argument("--input", required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--svg", help="also write a static SVG of cells and sample lines")
     common(p)
-    p.set_defaults(func=cmd_partition)
+    p.set_defaults(func=lambda args: cmd_partition(args))
 
     t = sub.add_parser("theorem1",
                        help="find k points in general position pairwise joined by arrangement lines")
@@ -463,16 +466,22 @@ def build_parser() -> argparse.ArgumentParser:
                    help="incidence density constant (exact rational, or 'auto' to measure)")
     t.add_argument("--beta-k", dest="beta_k", help="override the partition constant")
     common(t)
-    t.set_defaults(func=cmd_theorem1)
+    t.set_defaults(func=lambda args: cmd_theorem1(args))
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser: argparse's objects form reference cycles,
+    so a parser per call would leave them all to the cyclic collector."""
+    return build_parser()
 
 
 def main(argv=None) -> int:
     logging.basicConfig(level=os.environ.get("INCIDENCES_LOG", "WARNING").upper(),
                         format="%(levelname)s %(name)s: %(message)s")
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     start = time.monotonic()

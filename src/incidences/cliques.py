@@ -13,17 +13,18 @@ enumerator, ``k_cliques``, serves both views of that search: the line view
 here (edges labelled by crossing point) and the point view of the
 ``theorem1`` search (edges labelled by line).  In both, the graph is a union
 of edge-disjoint labelled cliques: the pencil of lines through a crossing
-point, or a run of points on a line.  ``k_cliques`` takes those groups as
-they are and expands no edge list; the edges at a vertex are read from its
-groups only when the search reaches it.  It never takes two edges at a
-vertex that share a label: they close a degenerate triple.  Before it
-enumerates, it colours the graph greedily and stops at once when fewer than k
-colours suffice (the colour bound of Tomita & Seki, DMTCS 2003): a proper
-colouring gives the vertices of a clique pairwise distinct colours, so such a
-graph has no k-clique.  Most cells the ``theorem1`` search tries without
-success are proved empty this way.  ``count_triangles`` enumerates no triple
-at all: it counts the joined-pair graph's triangles and subtracts the
-collinear ones, which the arrangement's lines count exactly.
+point, or a run of points on a line.  ``k_cliques`` takes those groups as they
+are and indexes them once, by vertex, while it orders the vertices; the edges
+at a vertex are read from that index only when the search reaches it.  It
+never takes two edges at a vertex that share a label: they close a degenerate
+triple.  Before it ranks any vertex, it colours the graph greedily and stops
+at once when fewer than k colours suffice (the colour bound of Tomita & Seki,
+DMTCS 2003): a proper colouring gives the vertices of a clique pairwise
+distinct colours, so such a graph has no k-clique.  Most cells the
+``theorem1`` search tries without success are proved empty this
+way.  ``count_triangles`` enumerates no triple at all: it counts the
+joined-pair graph's triangles and subtracts the collinear ones, which the
+arrangement's lines count exactly.
 """
 
 from __future__ import annotations
@@ -100,8 +101,9 @@ def build_graph(arr: Arrangement, kept_points: Iterable[int]) -> IntersectionGra
     return IntersectionGraph(arr.n_lines, edges, kept)
 
 
-def _degeneracy_order(n: int, groups: Groups) -> list[int]:
-    """Removal order by repeatedly deleting a min-degree vertex (ties by index).
+def _degeneracy_order(n: int, groups: Groups) -> tuple[list[int], list[Groups]]:
+    """Removal order by repeatedly deleting a min-degree vertex (ties by
+    index), and ``holding``: ``holding[v]`` lists the groups that hold v.
 
     The graph is the union of the cliques on each group's vertices, and two
     groups share at most one vertex, so no edge lies in two groups: a
@@ -115,12 +117,12 @@ def _degeneracy_order(n: int, groups: Groups) -> list[int]:
     exactly that of taking min((degree, index)) each time.
     """
     degree = [0] * n
-    holding: list[list[Collection[int]]] = [[] for _ in range(n)]
-    for _, members in groups:
-        others = len(members) - 1
-        for v in members:
+    holding: list[list[tuple[Hashable, Collection[int]]]] = [[] for _ in range(n)]
+    for group in groups:
+        others = len(group[1]) - 1
+        for v in group[1]:
             degree[v] += others
-            holding[v].append(members)
+            holding[v].append(group)
     buckets: list[list[int]] = [[] for _ in range(max(degree, default=0) + 1)]
     for v in range(n):
         buckets[degree[v]].append(v)   # ascending, hence already a heap
@@ -137,33 +139,32 @@ def _degeneracy_order(n: int, groups: Groups) -> list[int]:
         v = heappop(bucket)
         removed[v] = True
         order.append(v)
-        for members in holding[v]:
+        for _, members in holding[v]:
             for w in members:
                 if not removed[w]:
                     degree[w] -= 1
                     heappush(buckets[degree[w]], w)
         d = max(d - 1, 0)
-    return order
+    return order, holding
 
 
-def _greedy_colours(at: Sequence[Groups], k: int) -> int:
-    """Colours used by a greedy colouring of the ranked graph, counted up to k.
+def _greedy_colours(order: Sequence[int], holding: Sequence[Groups], k: int) -> int:
+    """Colours used by a greedy colouring in reverse ``order``, counted up to k.
 
-    ``at[p]`` lists the groups holding rank p, as (label, member ranks).
-    Ranks are coloured from the last to the first, each taking the least
-    colour that none of its later neighbours has: the members of its groups
-    with a larger rank.  Every edge joins a rank to a later one, so the
-    colouring is proper.  Counting stops at k colours, which prove nothing
-    about a k-clique.
+    Each vertex takes the least colour that none of its later neighbours
+    has.  Its earlier neighbours are still uncoloured (-1), so the colours in
+    its groups (``holding[v]``) are its later neighbours' and no rank is
+    needed.  Every edge joins a vertex to a later one, so the colouring is
+    proper.  Counting stops at k colours, which prove nothing about a k-clique.
     """
-    colour = [0] * len(at)
+    colour = [-1] * len(order)
     used = 0
-    for p in range(len(at) - 1, -1, -1):
-        taken = {colour[q] for _, ranks in at[p] for q in ranks if q > p}
+    for v in reversed(order):
+        taken = {colour[w] for _, members in holding[v] for w in members}
         c = 0
         while c in taken:
             c += 1
-        colour[p] = c
+        colour[v] = c
         if c == used:
             used += 1
             if used == k:
@@ -187,11 +188,11 @@ def k_cliques(n: int, groups: Groups, k: int) -> Iterator[tuple[int, ...]]:
     Vertices are ranked by ``_degeneracy_order`` and cliques come out in
     lexicographic order of their rank tuples, so the first clique found is
     fixed by the graph alone.  Each top-level vertex starts from its later
-    neighbours only (Chiba & Nishizeki, SIAM J. Comput. 1985).  A rank's
-    ``later`` map (later neighbour's rank -> label) is built from its groups
-    when the search first reaches that rank, and a top-level rank's map is
-    dropped once its subtree is done, since no later subtree reads it; a
-    search that stops at its first clique builds few of them.
+    neighbours only (Chiba & Nishizeki, SIAM J. Comput. 1985).  A vertex's
+    ``later`` map (later neighbour -> label) is built from the ordering's
+    group index when the search first reaches that vertex, and a top-level
+    vertex's map is dropped once its subtree is done, since no later subtree
+    reads it; a search that stops at its first clique builds few of them.
 
     Two prunes keep the search to general position.  When v joins the base,
     a candidate u is dropped if its label on (v, u) is the label on (b, v)
@@ -208,67 +209,63 @@ def k_cliques(n: int, groups: Groups, k: int) -> Iterator[tuple[int, ...]]:
     (Tomita & Seki, DMTCS 2003).  The bound is exact: the vertices of a clique
     are pairwise adjacent, so a proper colouring needs at least as many
     colours as the largest clique has vertices.  It is checked once, before
-    the search, not at every node: it either proves the whole graph free of
-    k-cliques or changes nothing, so the output and its order never depend
-    on it.
+    the search and before any rank exists, not at every node: it either
+    proves the whole graph free of k-cliques or changes nothing, so the
+    output and its order never depend on it.
     """
-    order = _degeneracy_order(n, groups)
+    order, holding = _degeneracy_order(n, groups)
+    if _greedy_colours(order, holding, k) < k:
+        return
     rank = [0] * n
     for p, v in enumerate(order):
         rank[v] = p
-    # at[p]: (label, member ranks) of every group holding rank p.
-    at: list[list[tuple[Hashable, list[int]]]] = [[] for _ in range(n)]
-    for label, members in groups:
-        group = (label, [rank[v] for v in members])
-        for p in group[1]:
-            at[p].append(group)
-    if _greedy_colours(at, k) < k:
-        return
     later: list[dict[int, Hashable] | None] = [None] * n
-    for p in range(n):
-        at_p = _later(at, later, p)
-        if len(set(at_p.values())) >= k - 1:
-            yield from _extend(order, at, later, k, [p], sorted(at_p))
-        later[p] = None
+    for v in order:
+        at_v = _later(holding, rank, later, v)
+        if len(set(at_v.values())) >= k - 1:
+            yield from _extend(holding, rank, later, k, [v], sorted(at_v, key=rank.__getitem__))
+        later[v] = None
 
 
-def _later(at: Sequence[Groups], later: list[dict[int, Hashable] | None],
-           p: int) -> dict[int, Hashable]:
-    """Rank p's later neighbours -> label, built from ``at[p]`` on first use."""
-    found = later[p]
+def _later(holding: Sequence[Groups], rank: Sequence[int],
+           later: list[dict[int, Hashable] | None], v: int) -> dict[int, Hashable]:
+    """v's later neighbours -> label, built from ``holding[v]`` on first use."""
+    found = later[v]
     if found is None:
-        found = later[p] = {}
-        for label, ranks in at[p]:
-            for q in ranks:
-                if q > p:
-                    assert q not in found, "two groups share an edge"
-                    found[q] = label
+        found = later[v] = {}
+        r = rank[v]
+        for label, members in holding[v]:
+            for w in members:
+                if rank[w] > r:
+                    assert w not in found, "two groups share an edge"
+                    found[w] = label
     return found
 
 
-def _extend(order: list[int], at: Sequence[Groups], later: list[dict[int, Hashable] | None],
-            k: int, base: list[int], candidates: list[int]) -> Iterator[tuple[int, ...]]:
-    """``k_cliques``' cliques that extend the ranks in ``base`` by ``candidates``.
+def _extend(holding: Sequence[Groups], rank: Sequence[int],
+            later: list[dict[int, Hashable] | None], k: int, base: list[int],
+            candidates: list[int]) -> Iterator[tuple[int, ...]]:
+    """``k_cliques``' cliques that extend the vertices in ``base`` by ``candidates``.
 
-    Every candidate is a later neighbour of each base rank and degenerate
+    Every candidate is a later neighbour of each base vertex and degenerate
     with no two of them, so once one vertex is missing each candidate
     completes a clique, and no map of its is built.
     """
     need = k - len(base)
     if need == 1:
         for v in candidates:
-            yield tuple(sorted(order[p] for p in (*base, v)))
+            yield tuple(sorted((*base, v)))
         return
     for idx, v in enumerate(candidates):
         if len(candidates) - idx < need:
             break
-        at_v = _later(at, later, v)
+        at_v = _later(holding, rank, later, v)
         # None refuses the candidates not adjacent to v, in the same lookup.
         refused = {None, *(later[b][v] for b in base)}
         nxt = [u for u in candidates[idx + 1:] if at_v.get(u) not in refused]
         if len(nxt) >= need - 1 and len({at_v[u] for u in nxt}) >= need - 1:
             base.append(v)
-            yield from _extend(order, at, later, k, base, nxt)
+            yield from _extend(holding, rank, later, k, base, nxt)
             base.pop()
 
 

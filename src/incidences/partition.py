@@ -94,11 +94,14 @@ def partition(points, r: int) -> PartitionResult:
     r_eff = min(r, n)
     low, high = n // r_eff, -(-2 * n // r_eff)  # floor(n/r), ceil(2n/r)
     leaves: list[tuple[Rect, list[int]]] = []
-
-    def split(indices: list[int], region: Rect, axis: int) -> None:
+    # Depth first, lower half first, so that the stable sort of ``leaves``
+    # keeps cells with equal region keys lower half first.
+    stack = [(list(range(n)), Rect(None, None, None, None), 0)]
+    while stack:
+        indices, region, axis = stack.pop()
         if len(indices) <= high:
             leaves.append((region, indices))
-            return
+            continue
         h = (len(indices) + 1) // 2   # the lower cell takes ranks 1..h
         if axis == 0:
             indices.sort(key=lambda i: (points[i].x, points[i].y, i))
@@ -108,10 +111,8 @@ def partition(points, r: int) -> PartitionResult:
             indices.sort(key=lambda i: (points[i].y, points[i].x, i))
             cut = points[indices[h - 1]].y
             lo_region, hi_region = replace(region, y_max=cut), replace(region, y_min=cut)
-        split(indices[:h], lo_region, 1 - axis)
-        split(indices[h:], hi_region, 1 - axis)
-
-    split(list(range(n)), Rect(None, None, None, None), 0)
+        stack.append((indices[h:], hi_region, 1 - axis))
+        stack.append((indices[:h], lo_region, 1 - axis))
     leaves.sort(key=lambda leaf: leaf[0].sort_key())
     cells = tuple(PartitionCell(tuple(sorted(idx)), region) for region, idx in leaves)
     result = PartitionResult(cells, r, low, high)

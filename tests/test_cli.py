@@ -2,6 +2,7 @@
 
 import argparse
 import copy
+import gc
 import hashlib
 import json
 import math
@@ -456,6 +457,41 @@ class TestArgumentErrors:
         assert (censused == []) == refused_before_the_census
         assert monitored == []
         assert os.listdir(tmp_path) == ["g4.json"]
+
+
+class TestNoGarbage:
+    @pytest.mark.parametrize("command, code", [
+        (["generate", "--kind", "grid", "--n", "6"], 0),
+        (["analyze", "--input", "DOC"], 0),
+        (["partition", "--input", "DOC", "--r", "4"], 0),
+        (["theorem1", "--input", "DOC", "--k", "4", "--c", "auto", "--beta-k", "1/1000000"], 0),
+        (["theorem1", "--input", "DOC", "--k", "4", "--c", "auto"], 3),
+    ], ids=["generate", "analyze", "partition", "theorem1-found", "theorem1-not-found"])
+    def test_a_command_leaves_nothing_for_the_cyclic_collector(self, tmp_path, command, code):
+        """After a warm-up call, a command's objects are all freed by
+        reference counting: no parser, partition or search leaves a cycle."""
+        doc = write_doc(tmp_path / "g6.json", grid_construction(6))
+        argv = [doc if arg == "DOC" else arg for arg in command]
+        argv += ["--output", str(tmp_path / "out.json")]
+        assert main(argv) == code
+        gc.disable()
+        try:
+            gc.collect()
+            assert main(argv) == code
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_a_rebound_command_reaches_the_cached_parser(self, tmp_path, monkeypatch):
+        """The parser is built once per process, yet it calls the command the
+        module names now, so a wrapper bound after the first call still runs."""
+        doc = write_doc(tmp_path / "g2.json", grid_construction(2))
+        argv = ["analyze", "--input", doc, "--output", str(tmp_path / "out.json")]
+        assert main(argv) == 0
+        called = []
+        monkeypatch.setattr(cli, "cmd_analyze", lambda args: called.append(args.input) or 0)
+        assert main(argv) == 0
+        assert called == [doc]
 
 
 class TestReadme:

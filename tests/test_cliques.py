@@ -174,8 +174,8 @@ def spy_colours(monkeypatch):
     seen = []
     real = cliques._greedy_colours
 
-    def spy(at, k):
-        used = real(at, k)
+    def spy(order, holding, k):
+        used = real(order, holding, k)
         seen.append((k, used))
         return used
     monkeypatch.setattr(cliques, "_greedy_colours", spy)
@@ -332,7 +332,7 @@ class TestDegeneracyOrder:
         edges = [(u, v) for u, v in combinations(range(n), 2)
                  if u not in isolated and v not in isolated and rng.random() < p]
         adj = adjacency(n, edges)
-        assert _degeneracy_order(n, edge_groups(edges)) == brute_degeneracy_order(n, adj)
+        assert _degeneracy_order(n, edge_groups(edges))[0] == brute_degeneracy_order(n, adj)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_matches_the_min_scan_on_run_graphs(self, seed):
@@ -341,7 +341,17 @@ class TestDegeneracyOrder:
         groups = run_graph(rng, n, rng.randint(3, 6), rng.randint(1, 3 * n))
         adj = adjacency(n, group_edges(groups))
         assert max(len(run) for _, run in groups) > 2
-        assert _degeneracy_order(n, groups) == brute_degeneracy_order(n, adj)
+        assert _degeneracy_order(n, groups)[0] == brute_degeneracy_order(n, adj)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_holding_lists_the_groups_at_each_vertex(self, seed):
+        """The second result is the search's one group index: every group
+        that holds v, labels and all, in input order."""
+        rng = random.Random(200 + seed)
+        n = rng.randint(6, 40)
+        groups = run_graph(rng, n, rng.randint(3, 6), rng.randint(1, 3 * n))
+        _, holding = _degeneracy_order(n, groups)
+        assert holding == [[g for g in groups if v in g[1]] for v in range(n)]
 
     def test_matches_the_min_scan_on_a_grid6_cell(self, monkeypatch):
         graphs = []
@@ -357,7 +367,7 @@ class TestDegeneracyOrder:
         adj = adjacency(n, group_edges(groups))
         degrees = [len(a) for a in adj]
         assert n > 20 and len(set(degrees)) < len(degrees) and 0 in degrees
-        assert _degeneracy_order(n, groups) == brute_degeneracy_order(n, adj)
+        assert _degeneracy_order(n, groups)[0] == brute_degeneracy_order(n, adj)
 
 
 class TestEnumerateCompleteTuples:
