@@ -1,14 +1,15 @@
 """Arrangement model, extremal generators, incidence engine, and duality.
 
 An :class:`Arrangement` is an indexed point set plus an indexed line set with
-a lazily materialized, cached incidence relation.  The incidence engine is a
-hashed, int-only build: point coordinates are cleared of denominators once
-and the points are indexed by column.  A non-vertical line can hold a point
-only at the columns of one residue class (see :func:`_residue_walk`); it
-walks that arithmetic progression when it has fewer terms than there are
-columns, and otherwise solves for Y at every column, so no (point, line) pair
-is scanned.  The independent oracle is the pairwise scan ``brute_incidences``
-in ``tests/conftest.py``.
+a lazily built, cached incidence index.  The incidence engine,
+``Arrangement._build_index``, is a hashed, int-only build in one pass over the
+lines: point coordinates are cleared of denominators once and the points are
+indexed by column.  A non-vertical line can hold a point only at the columns
+of one residue class (see :func:`_residue_walk`); it walks that arithmetic
+progression when it has fewer terms than there are columns, and otherwise
+solves for Y at every column, so no (point, line) pair is scanned.  The
+independent oracle is the pairwise scan ``brute_incidences`` in
+``tests/conftest.py``.
 """
 
 from __future__ import annotations
@@ -30,10 +31,10 @@ class VerticalLinePresentError(ValueError):
 
 
 class Arrangement:
-    """Indexed points and lines with a cached exact incidence relation.
+    """Indexed points and lines with a cached exact incidence index.
 
     Duplicate points and duplicate canonical lines are forbidden.  Once the
-    incidence list is built the object is effectively immutable and safe to
+    incidence index is built the object is effectively immutable and safe to
     share between threads for read-only analysis.
     """
 
@@ -58,76 +59,83 @@ class Arrangement:
 
     @property
     def incidences(self) -> tuple[tuple[int, int], ...]:
-        """All (point-index, line-index) pairs, sorted by (line, point).
-
-        With d the lcm of all coordinate denominators, point (x, y) becomes
-        the integer pair (X, Y) = (d*x, d*y) and line (a, b, c) holds it iff
-        a*X + b*Y + c*d == 0.  The points are indexed by column X.  A vertical
-        line is one column lookup.  Any other line has an integer Y only at
-        the columns of one residue class mod |b| / gcd(a, b): when that
-        progression over [min X, max X] has fewer terms than there are
-        columns, it is walked with one dict lookup per term; otherwise (a grid
-        line has |b| = 1, hence every X) the line is solved for Y at each
-        column, and a divisibility test plus a dict lookup finds the point.
-        """
+        """All (point-index, line-index) pairs, sorted by (line, point); derived from the index."""
         if self._incidences is None:
-            d = lcm(*(q.denominator for p in self.points for q in (p.x, p.y)))
-            column: dict[int, dict[int, int]] = {}   # X -> {Y: point index}
-            for i, p in enumerate(self.points):
-                column.setdefault(int(p.x * d), {})[int(p.y * d)] = i
-            columns = list(column.items())
-            lo, hi = min(column, default=0), max(column, default=0)
-            # The progression's modulus is at most |b|, so a line with
-            # |b| <= limit has at least as many terms as there are columns.
-            limit = max(1, (hi - lo) // max(len(columns), 1))
-            pairs: list[tuple[int, int]] = []
-            for j, ln in enumerate(self.lines):
-                a, b, cd = ln.a, ln.b, ln.c * d
-                if b == 0:
-                    # a*X + cd == 0: one whole column.
-                    on = column.get(-cd // a, {}).values() if cd % a == 0 else ()
-                else:
-                    walk = _residue_walk(a, b, cd, lo, hi, len(columns)) if abs(b) > limit else None
-                    on = []
-                    if walk is None:
-                        # Solve b*Y = -(a*X + cd) at each column X.
-                        for x, ys in columns:
-                            t = a * x + cd
-                            if t % b == 0:
-                                i = ys.get(-t // b)
-                                if i is not None:
-                                    on.append(i)
-                    else:
-                        # b divides a*X + cd at every term of the walk.
-                        for x in walk:
-                            ys = column.get(x)
-                            if ys is not None:
-                                i = ys.get(-(a * x + cd) // b)
-                                if i is not None:
-                                    on.append(i)
-                pairs.extend((i, j) for i in sorted(on))
-            self._incidences = tuple(pairs)
+            self._incidences = tuple((i, j) for j in range(self.n_lines)
+                                     for i in sorted(self.points_on_line(j)))
         return self._incidences
 
     @property
     def n_incidences(self) -> int:
-        return len(self.incidences)
+        if self._points_on_line is None:
+            self._build_index()
+        return sum(map(len, self._points_on_line))
 
     def _build_index(self) -> None:
-        on_line = [[] for _ in self.lines]
-        through = [[] for _ in self.points]
-        for i, j in self.incidences:
-            on_line[j].append(i)
-            through[i].append(j)
-        self._points_on_line = [tuple(v) for v in on_line]
+        """The incidence engine: both index views, in one pass over the lines.
+
+        With d the lcm of all coordinate denominators, point (x, y) becomes
+        the integer pair (X, Y) = (d*x, d*y) and line (a, b, c) holds it iff
+        a*X + b*Y + c*d == 0.  The points are indexed by column X.  A vertical
+        line is one column lookup, read in ascending Y.  Any other line has an
+        integer Y only at the columns of one residue class mod |b| / gcd(a, b):
+        when that progression over [min X, max X] has fewer terms than there
+        are columns, it is walked upward with one dict lookup per term;
+        otherwise (a grid line has |b| = 1, hence every X) the line is solved
+        for Y at each column in ascending X, and a divisibility test plus a
+        dict lookup finds the point.  Either way each line's points come out
+        in order along it, and appending each line index to its points as it
+        is reached keeps every ``lines_through_point`` ascending.
+        """
+        d = lcm(*(q.denominator for p in self.points for q in (p.x, p.y)))
+        column: dict[int, dict[int, int]] = {}   # X -> {Y: point index}
+        for i, p in enumerate(self.points):
+            column.setdefault(int(p.x * d), {})[int(p.y * d)] = i
+        columns = sorted(column.items())
+        lo, hi = min(column, default=0), max(column, default=0)
+        # The progression's modulus is at most |b|, so a line with
+        # |b| <= limit has at least as many terms as there are columns.
+        limit = max(1, (hi - lo) // max(len(columns), 1))
+        on_line: list[tuple[int, ...]] = []
+        through: list[list[int]] = [[] for _ in self.points]
+        for j, ln in enumerate(self.lines):
+            a, b, cd = ln.a, ln.b, ln.c * d
+            if b == 0:
+                # a*X + cd == 0: one whole column.
+                on = [i for _, i in sorted(column.get(-cd // a, {}).items())] if cd % a == 0 else []
+            else:
+                walk = _residue_walk(a, b, cd, lo, hi, len(columns)) if abs(b) > limit else None
+                on = []
+                if walk is None:
+                    # Solve b*Y = -(a*X + cd) at each column X.
+                    for x, ys in columns:
+                        t = a * x + cd
+                        if t % b == 0:
+                            i = ys.get(-t // b)
+                            if i is not None:
+                                on.append(i)
+                else:
+                    # b divides a*X + cd at every term of the walk.
+                    for x in walk:
+                        ys = column.get(x)
+                        if ys is not None:
+                            i = ys.get(-(a * x + cd) // b)
+                            if i is not None:
+                                on.append(i)
+            for i in on:
+                through[i].append(j)
+            on_line.append(tuple(on))
+        self._points_on_line = on_line
         self._lines_through_point = [tuple(v) for v in through]
 
     def points_on_line(self, line_index: int) -> tuple[int, ...]:
+        """The line's points in order along it: x ascending, or y on a vertical line."""
         if self._points_on_line is None:
             self._build_index()
         return self._points_on_line[line_index]
 
     def lines_through_point(self, point_index: int) -> tuple[int, ...]:
+        """The lines through the point, ascending by line index."""
         if self._lines_through_point is None:
             self._build_index()
         return self._lines_through_point[point_index]

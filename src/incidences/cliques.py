@@ -316,14 +316,15 @@ def count_triangles(arr: Arrangement) -> int:
     two distinct lines share at most one point, so every collinear triangle
     is subtracted exactly once, and every collinear triple on a line is a
     graph triangle.  Graph triangles are counted with forward sets (later[u]
-    = joined points with a larger index) as the sum over edges u < v of
+    = joined points after u in (x, y) order, the order in which the index
+    lists each line's points) as the sum over u and v in later[u] of
     |later[u] & later[v]|, which sees each triangle once, from the edge
     joining its two lowest points.  No full adjacency is built.
     """
     later: list[set[int]] = [set() for _ in range(arr.n_points)]
     collinear_triples = 0
     for j in range(arr.n_lines):
-        on = arr.points_on_line(j)   # ascending point indices
+        on = arr.points_on_line(j)   # in (x, y) order: along the line
         collinear_triples += comb(len(on), 3)
         for pos in range(len(on) - 1):
             later[on[pos]].update(on[pos + 1:])

@@ -9,7 +9,8 @@ certify the result.  The search:
   3. breaks each line's cell points into disjoint runs of k consecutive
      points ("segment lines"), which keeps the output local; steps 2 and 3
      read the same cell membership (which cell points lie on which line, in
-     order along it),
+     order along it), built in one pass over the incidence index, which
+     already lists each line's points in that order,
   4. searches the cell's joined-pair graph (one vertex per cell point, two
      points joined when they share a run on a line holding >= k cell points,
      or lie on a line holding fewer) for the first k-clique with no collinear
@@ -127,16 +128,20 @@ class NotFoundReport:
     attempts: tuple[CellAttempt, ...]
 
 
-def _cell_lines(arr: Arrangement, cell: PartitionCell) -> dict[int, list[int]]:
-    """line index -> the cell points on it, ordered along the line.
+def _memberships(arr: Arrangement, pr: PartitionResult) -> list[dict[int, list[int]]]:
+    """For each cell, in cell order: line index -> the cell points on it.
 
-    The points are visited in (x, y) order, so each list is in x order, or in
-    y order on a vertical line.
+    One pass over ``points_on_line``, which lists each line's points in order
+    along it, so each cell's lists keep that order and its lines ascend.
     """
-    out: dict[int, list[int]] = {}
-    for pi in sorted(cell.point_indices, key=lambda pi: (arr.points[pi].x, arr.points[pi].y)):
-        for li in arr.lines_through_point(pi):
-            out.setdefault(li, []).append(pi)
+    cell_of = [0] * arr.n_points
+    for ci, cell in enumerate(pr.cells):
+        for pi in cell.point_indices:
+            cell_of[pi] = ci
+    out: list[dict[int, list[int]]] = [{} for _ in pr.cells]
+    for li in range(arr.n_lines):
+        for pi in arr.points_on_line(li):
+            out[cell_of[pi]].setdefault(li, []).append(pi)
     return out
 
 
@@ -148,11 +153,11 @@ def rank_cells(arr: Arrangement, pr: PartitionResult, k: int) -> list[RichCellRe
     ``inequality_audit`` checks.  The top cell's floor-sum is at least the
     average over all cells; this pigeonhole fact is asserted exactly.
     """
-    return _rank([_cell_lines(arr, cell) for cell in pr.cells], k)
+    return _rank(_memberships(arr, pr), k)
 
 
 def _rank(memberships: list[dict[int, list[int]]], k: int) -> list[RichCellReport]:
-    """``rank_cells`` over each cell's ``_cell_lines``, given in cell order."""
+    """``rank_cells`` over ``_memberships``: each cell's lines and points, in cell order."""
     if k < 1:
         raise ValueError("k must be >= 1")
     reports = [RichCellReport(ci, sum(len(members) // k for members in by_line.values()))
@@ -174,17 +179,17 @@ def locality_counts(arr: Arrangement,
     """For each point-index pair, the arrangement points strictly between them.
 
     ``connecting`` maps each pair to the index of an arrangement line through
-    both points.  A point strictly inside the segment lies on that line, so
-    only the line's points are scanned; the segment is open, so
-    ``strictly_between`` already rejects both endpoints.
+    both points.  A point strictly inside the segment lies on that line, and
+    ``points_on_line`` lists the line's points in order along it, so the
+    count is the distance of the two positions less one; no geometric
+    predicate runs.
     """
     out: dict[tuple[int, int], int] = {}
     for (i, j), li in connecting.items():
         if i == j:
             raise ValueError("points must be distinct")
-        p, q = arr.points[i], arr.points[j]
-        out[(i, j)] = sum(1 for z in arr.points_on_line(li)
-                          if strictly_between(p, q, arr.points[z]))
+        on = arr.points_on_line(li)
+        out[(i, j)] = abs(on.index(i) - on.index(j)) - 1
     return out
 
 
@@ -235,13 +240,15 @@ def revalidate_certificate(arr: Arrangement, cert: CompleteTupleCertificate) -> 
             raise CertificateError(f"locality of {(pi, pj)} not below k")
 
 
-def _attempt_cell(arr: Arrangement, cell: PartitionCell, cell_lines: dict[int, list[int]],
+def _attempt_cell(arr: Arrangement, cell: PartitionCell, membership: dict[int, list[int]],
                   cell_index: int, floor_sum: int, cfg: PipelineConfig, r: int
                   ) -> tuple[CompleteTupleCertificate | None, CellAttempt]:
     """Search one cell's joined-pair graph for k points in general position.
 
-    ``cell_lines`` is the cell's ``_cell_lines``.  Vertex i is the i-th cell
-    point in index order.  Each line holding >= 2 cell points gives
+    ``membership`` is the cell's entry of ``_memberships``: its lines in
+    ascending order, each with its cell points in order along it, so the
+    groups below need no sort.  Vertex i is the i-th cell point in index
+    order.  Each line holding >= 2 cell points gives
     ``k_cliques`` its runs as groups labelled with the line's index: its
     k-point runs if it holds >= k cell points, which keeps the final tuple
     local, else all of its cell points.  Two points span one line and the
@@ -252,7 +259,7 @@ def _attempt_cell(arr: Arrangement, cell: PartitionCell, cell_lines: dict[int, l
     off the groups.
     """
     # line -> its cell points (>= 2 of them), ordered along the line.
-    by_line = {li: members for li, members in sorted(cell_lines.items()) if len(members) >= 2}
+    by_line = {li: members for li, members in membership.items() if len(members) >= 2}
     runs_on = _runs(by_line, cfg.k)
     sub_point_idx = cell.point_indices
     vertex = {pi: i for i, pi in enumerate(sub_point_idx)}
@@ -307,7 +314,7 @@ def find_complete_tuple(arr: Arrangement,
     pr = partition(arr.points, r)
     # The ranking and every attempt read one membership per cell; only the
     # tried cells' memberships are kept past the ranking.
-    memberships = [_cell_lines(arr, cell) for cell in pr.cells]
+    memberships = _memberships(arr, pr)
     ranking = _rank(memberships, cfg.k)[:cfg.fallback_cells]
     memberships = {rep.cell_index: memberships[rep.cell_index] for rep in ranking}
 

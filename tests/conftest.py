@@ -14,7 +14,7 @@ from itertools import combinations
 import pytest
 
 from incidences import (Arrangement, Line, Point, concurrent, incident,
-                        intersection, spanned_lines)
+                        intersection, spanned_lines, strictly_between)
 from incidences.cli import random_arrangement
 from incidences.documents import SCHEMA_VERSION, DocumentError
 
@@ -93,6 +93,14 @@ def brute_incidences(arr: Arrangement) -> set[tuple[int, int]]:
     """Independent (point, line) incidence scan via the kernel predicate."""
     return {(i, j) for i, p in enumerate(arr.points)
             for j, l in enumerate(arr.lines) if incident(p, l)}
+
+
+def brute_locality(arr: Arrangement, connecting) -> dict[tuple[int, int], int]:
+    """For each pair of ``connecting``, the arrangement points strictly inside
+    its segment, by a ``strictly_between`` scan of every point; the line
+    indices are not read."""
+    return {(i, j): sum(1 for z in arr.points if strictly_between(arr.points[i], arr.points[j], z))
+            for i, j in connecting}
 
 
 def brute_degeneracy_order(n: int, adj: list[set[int]]) -> list[int]:

@@ -8,12 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from incidences import (Arrangement, FewerThanTwoPointsError, Line, Point,
-                        VerticalLinePresentError, dualize,
+from incidences import (Arrangement, CompleteTupleCertificate, FewerThanTwoPointsError, Line,
+                        PipelineConfig, Point, VerticalLinePresentError,
+                        count_triangles, dualize, find_complete_tuple,
                         generic_shear_value, grid_construction, incidence_stats,
                         line_through, measured_density, shear,
                         spanned_lines, st_bound_report)
 from incidences import arrangement
+from incidences.cli import main
+from incidences.documents import arrangement_to_document, dumps_canonical
 from incidences.arrangement import _residue_walk
 from conftest import brute_incidences, random_nonvertical_arrangement
 
@@ -227,6 +230,114 @@ class TestResidueWalk:
         arr = grid_construction(n)
         assert arr.n_incidences == n**4
         assert all(w is None for w in walks.values())
+
+
+def shuffled(points, seed):
+    points = list(points)
+    random.Random(seed).shuffle(points)
+    return points
+
+
+def shuffled_grid(n: int, seed: int) -> Arrangement:
+    """``grid_construction(n)`` with its points in random index order."""
+    grid = grid_construction(n)
+    return Arrangement(shuffled(grid.points, seed), grid.lines)
+
+
+def shuffled_lattice(side: int, seed: int, den: int = 1) -> Arrangement:
+    """The spanned side x side lattice of step 1/den, in random index order:
+    it has vertical lines, and index order is not order along any line."""
+    return spanned_lines(shuffled([(Fraction(x, den), Fraction(y, den))
+                                   for x in range(side) for y in range(side)], seed))
+
+
+def assert_index_in_order(arr: Arrangement) -> None:
+    """Both index views against ``brute_incidences``, and their order:
+    each line's points strictly along it (x ascending, or y ascending on a
+    vertical line), each point's lines ascending; the pair list, derived
+    last, still sorted by (line, point)."""
+    brute = brute_incidences(arr)
+    on_brute: dict[int, set[int]] = {}
+    through_brute: dict[int, set[int]] = {}
+    for i, j in brute:
+        on_brute.setdefault(j, set()).add(i)
+        through_brute.setdefault(i, set()).add(j)
+    for j, ln in enumerate(arr.lines):
+        on = arr.points_on_line(j)
+        assert len(on) == len(set(on)) and set(on) == on_brute.get(j, set())
+        coords = [arr.points[i].y if ln.b == 0 else arr.points[i].x for i in on]
+        assert all(u < v for u, v in zip(coords, coords[1:]))
+    for i in range(arr.n_points):
+        assert list(arr.lines_through_point(i)) == sorted(through_brute.get(i, ()))
+    assert arr._incidences is None
+    assert arr.n_incidences == len(brute)
+    assert list(arr.incidences) == by_line_then_point(brute)
+    assert arr.n_incidences == len(arr.incidences)
+
+
+class TestIndexOrder:
+    """``points_on_line`` runs along each line in every branch of the engine."""
+
+    @pytest.mark.parametrize("arr", [
+        shuffled_lattice(5, 1), shuffled_lattice(4, 2, den=3), mixed_arrangement(7, 4, 15),
+    ], ids=["lattice5", "lattice4-thirds", "mixed"])
+    def test_vertical_columns_in_ascending_y(self, arr):
+        vertical = [arr.points_on_line(j) for j, ln in enumerate(arr.lines) if ln.b == 0]
+        assert any(len(on) >= 3 and list(on) != sorted(on) for on in vertical)
+        assert_index_in_order(arr)
+
+    @pytest.mark.parametrize("n, seed", [(3, 1), (4, 2)])
+    def test_column_solve_on_a_shuffled_grid(self, n, seed, monkeypatch):
+        walks = spy_on_the_walk(monkeypatch)
+        arr = shuffled_grid(n, seed)
+        assert any(list(arr.points_on_line(j)) != sorted(arr.points_on_line(j))
+                   for j in range(arr.n_lines))
+        # Every grid line has |b| = 1, so every line solves at each column.
+        assert all(w is None for w in walks.values())
+        assert_index_in_order(arr)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_residue_walk_on_spread_coordinates(self, seed, monkeypatch):
+        walks = spy_on_the_walk(monkeypatch)
+        arr = spread_arrangement(seed)
+        arr.points_on_line(0)   # builds the index, which fills ``walks``
+        d = lcm(*(Fraction(v).denominator for p in arr.points for v in (p.x, p.y)))
+        walked = [arr.points_on_line(j) for j, ln in enumerate(arr.lines)
+                  if walks.get((ln.a, ln.b, ln.c * d)) is not None]
+        assert any(list(on) != sorted(on) for on in walked)
+        assert {2, 3, 16} <= {Fraction(v).denominator for p in arr.points for v in (p.x, p.y)}
+        assert_index_in_order(arr)
+
+    def test_no_search_or_census_builds_the_pair_list(self):
+        arr = shuffled_lattice(6, 3)
+        cert = find_complete_tuple(arr, PipelineConfig(k=4, c=measured_density(arr)))
+        assert isinstance(cert, CompleteTupleCertificate)
+        assert arr._incidences is None
+        arr = shuffled_lattice(6, 4)
+        incidence_stats(arr)
+        measured_density(arr)
+        st_bound_report(arr, 1)
+        count_triangles(arr)
+        assert arr._incidences is None
+
+    @pytest.mark.parametrize("argv, expected", [
+        (["generate", "--kind", "spanned"], 0), (["analyze"], 0),
+        (["analyze", "--format", "csv"], 0), (["partition", "--r", "4"], 0),
+        (["theorem1", "--k", "3", "--c", "auto"], 0), (["theorem1", "--k", "7", "--c", "auto"], 3),
+        (["theorem1", "--k", "4", "--c", "1", "--format", "csv"], 0),
+    ], ids=lambda v: "-".join(v) if isinstance(v, list) else str(v))
+    def test_no_command_builds_the_pair_list(self, argv, expected, tmp_path, monkeypatch):
+        src = tmp_path / "lattice.json"
+        src.write_text(dumps_canonical(arrangement_to_document(shuffled_lattice(6, 5))))
+        built = []
+        real = Arrangement.incidences
+
+        def incidences(arr):
+            built.append(arr)
+            return real.fget(arr)
+        monkeypatch.setattr(Arrangement, "incidences", property(incidences))
+        code = main([*argv, "--input", str(src), "--output", str(tmp_path / "out")])
+        assert code == expected and built == []
 
 
 class TestGridConstruction:

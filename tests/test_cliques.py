@@ -473,6 +473,9 @@ RICH_LINE_INPUTS = {
     "fractional": lambda: spanned_lines(
         [Point(Fraction(x, 3) + Fraction(1, 2), Fraction(y, 16) - Fraction(1, 3))
          for x in range(3) for y in range(3)] + [Point(Fraction(1, 7), Fraction(5, 2))]),
+    # Index order is not (x, y) order, and the vertical lines sit at fractional x.
+    "shuffled-fractional-lattice": lambda: spanned_lines(random.Random(11).sample(
+        [(Fraction(x, 3), Fraction(y, 2)) for x in range(4) for y in range(4)], 16)),
 }
 
 

@@ -4,6 +4,7 @@ import logging
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 import pytest
 
@@ -14,9 +15,10 @@ from incidences import (Arrangement, CompleteTupleCertificate, Line,
                         inequality_audit, locality_counts, measured_density,
                         partition, rank_cells, revalidate_certificate, shear,
                         spanned_lines)
-from incidences import pipeline
+from incidences import arrangement, pipeline
 from incidences.cli import random_arrangement
-from conftest import first_collinear_free_clique, group_edges, pair_joined
+from conftest import (brute_incidences, brute_locality, first_collinear_free_clique,
+                      group_edges, pair_joined)
 
 
 def spy_searches(monkeypatch):
@@ -63,7 +65,7 @@ class TestSelectRichCell:
         assert report.cell_index == 0
         # 8 lines carry 3 points, 12 lines carry 2: floor sum = 8.
         assert report.floor_sum == 8
-        by_line = pipeline._cell_lines(grid3x3, pr.cells[0])
+        by_line = pipeline._memberships(grid3x3, pr)[0]
         assert sum(len(members) for members in by_line.values()) == grid3x3.n_incidences
 
     def test_concentrated_rich_line_wins(self):
@@ -81,7 +83,7 @@ class TestSelectRichCell:
         pr = partition(arr.points, 4)
         report = rank_cells(arr, pr, 3)[0]
         cell = set(pr.cells[report.cell_index].point_indices)
-        by_line = pipeline._cell_lines(arr, pr.cells[report.cell_index])
+        by_line = pipeline._memberships(arr, pr)[report.cell_index]
         for li, members in by_line.items():
             assert len(members) == sum(1 for i in arr.points_on_line(li) if i in cell)
         assert report.floor_sum == sum(len(members) // 3 for members in by_line.values())
@@ -113,40 +115,46 @@ class TestBreakIntoSegments:
             made.append(real(by_line, k))
             return made[-1]
         monkeypatch.setattr(pipeline, "_runs", spy)
-        cell = partition(arr.points, 1).cells[0]
-        pipeline._attempt_cell(arr, cell, pipeline._cell_lines(arr, cell), 0, 0,
+        pr = partition(arr.points, 1)
+        pipeline._attempt_cell(arr, pr.cells[0], pipeline._memberships(arr, pr)[0], 0, 0,
                                PipelineConfig(k=k, c=1), 1)
         assert len(made) == 1
         return made[0]
 
-    def test_cell_lines_is_the_membership(self):
-        """Each cell's lines and their cell points, in (x, y) order."""
+    def test_memberships_are_each_cells_lines(self):
+        """Each cell's lines, ascending, and their cell points, in (x, y) order."""
         xy = [(x, y) for x in range(4) for y in range(3)]
         random.Random(5).shuffle(xy)
         arr = spanned_lines(xy)
-        for cell in partition(arr.points, 3).cells:
+        pr = partition(arr.points, 3)
+        memberships = pipeline._memberships(arr, pr)
+        assert len(memberships) == pr.t
+        for cell, by_line in zip(pr.cells, memberships):
             members = set(cell.point_indices)
             expected = {li: sorted((i for i in arr.points_on_line(li) if i in members),
                                    key=lambda i: (arr.points[i].x, arr.points[i].y))
                         for li in range(arr.n_lines)}
-            assert pipeline._cell_lines(arr, cell) == \
-                {li: on for li, on in expected.items() if on}
+            assert by_line == {li: on for li, on in expected.items() if on}
+            assert list(by_line) == sorted(by_line)
 
-    def test_cell_lines_run_along_each_line_on_a_shuffled_lattice(self):
+    def test_memberships_run_along_each_line_on_a_shuffled_lattice(self):
         """Index order is not (x, y) order here, yet every line's list runs
         along the line: x ascending, or y ascending on a vertical line."""
         xy = [(x, y) for x in range(5) for y in range(4)]
         random.Random(3).shuffle(xy)
         arr = spanned_lines(xy)
-        cell = partition(arr.points, 1).cells[0]
-        by_line = pipeline._cell_lines(arr, cell)
-        assert set(by_line) == set(range(arr.n_lines))
-        assert any(members != sorted(members) for members in by_line.values())
-        for li, members in by_line.items():
-            assert sorted(members) == sorted(arr.points_on_line(li))
+        assert any(list(arr.points_on_line(li)) != sorted(arr.points_on_line(li))
+                   for li in range(arr.n_lines))
+        for li in range(arr.n_lines):
             vertical = arr.lines[li].b == 0
-            coords = [arr.points[i].y if vertical else arr.points[i].x for i in members]
+            coords = [arr.points[i].y if vertical else arr.points[i].x
+                      for i in arr.points_on_line(li)]
             assert coords == sorted(coords) and len(set(coords)) == len(coords)
+        # One cell holds every point, so its membership is the index itself.
+        by_line = pipeline._memberships(arr, partition(arr.points, 1))[0]
+        assert set(by_line) == set(range(arr.n_lines))
+        for li, members in by_line.items():
+            assert members == list(arr.points_on_line(li))
 
     def test_exactly_k_points_one_segment(self, monkeypatch):
         pts = [Point(x, 0) for x in range(3)]
@@ -328,6 +336,61 @@ class TestLocality:
             locality_counts(arr, {(i, i): arr.lines_through_point(i)[0]})
 
 
+def far_rich_lines(seed: int) -> Arrangement:
+    """Five lines of 4-6 points each, with steep directions (dx in
+    [3 * 10^4, 6 * 10^4], coprime to dy) and coordinates up to about 10^6,
+    among 15 random points, and every line they span: the engine walks the
+    residue class of each rich line."""
+    rng = random.Random(seed)
+    points = {Point(rng.randint(0, 10**6), rng.randint(0, 10**6)) for _ in range(15)}
+    for _ in range(5):
+        dx, dy = rng.randint(3 * 10**4, 6 * 10**4), rng.randint(-10**4, 10**4)
+        while gcd(dx, dy) != 1:
+            dy += 1
+        x0, y0 = rng.randint(0, 10**5), rng.randint(3 * 10**5, 7 * 10**5)
+        points.update(Point(x0 + t * dx, y0 + t * dy) for t in range(rng.randint(4, 6)))
+    return spanned_lines(sorted(points, key=lambda p: rng.random()))
+
+
+class TestLocalityOracle:
+    """``locality_counts`` reads positions along a line; ``brute_locality``
+    scans every point with ``strictly_between``.  They agree on every pair of
+    every line."""
+
+    @pytest.mark.parametrize("case", [*(f"random-{seed}" for seed in range(28)),
+                                      "fractional-vertical", "far-0", "far-1"])
+    def test_every_pair_of_every_line(self, case, monkeypatch):
+        walks = {}
+        real_walk = arrangement._residue_walk
+
+        def walk(a, b, cd, *args):
+            walks[a, b, cd] = real_walk(a, b, cd, *args)
+            return walks[a, b, cd]
+        monkeypatch.setattr(arrangement, "_residue_walk", walk)
+        kind, seed = case.rsplit("-", 1)
+        if kind == "random":
+            rng = random.Random(int(seed))
+            arr = spanned_lines(list({(rng.randint(0, 9), rng.randint(0, 9))
+                                      for _ in range(rng.randint(15, 40))}))
+        elif kind == "far":
+            arr = far_rich_lines(int(seed))
+        else:
+            xy = [(Fraction(x, 3), Fraction(y, 2)) for x in range(5) for y in range(5)]
+            random.Random(7).shuffle(xy)
+            arr = spanned_lines(xy)
+            assert any(ln.b == 0 for ln in arr.lines)
+        on_line: dict[int, list[int]] = {}
+        for i, li in sorted(brute_incidences(arr)):
+            on_line.setdefault(li, []).append(i)
+        connecting = {(i, j): li for li, on in on_line.items() for i, j in combinations(on, 2)}
+        counts = locality_counts(arr, connecting)
+        assert counts == brute_locality(arr, connecting)
+        assert max(counts.values()) >= 2
+        if kind == "far":   # integer coordinates: c*d is c
+            assert sum(1 for li, on in on_line.items() if len(on) >= 4 and walks.get(
+                (arr.lines[li].a, arr.lines[li].b, arr.lines[li].c)) is not None) >= 5
+
+
 class TestSearchSharesLibrarySteps:
     """find_complete_tuple ranks and segments cells through the public functions."""
 
@@ -342,8 +405,9 @@ class TestSearchSharesLibrarySteps:
             [(rep.cell_index, rep.floor_sum) for rep in ranking[:cfg.fallback_cells]]
         # Each attempt's floor-sum counts every line: it is the cell's number
         # of k-point runs, recomputed here from its membership.
+        memberships = pipeline._memberships(arr, pr)
         for a in report.attempts:
-            by_line = pipeline._cell_lines(arr, pr.cells[a.cell_index])
+            by_line = memberships[a.cell_index]
             assert a.floor_sum == sum(len(members) // cfg.k for members in by_line.values())
 
     def test_lines_with_few_points_count_in_the_ranking(self):
@@ -359,27 +423,40 @@ class TestSearchSharesLibrarySteps:
         assert audit.floor_sum_total == 13
 
     def test_each_cell_membership_is_built_once(self, monkeypatch, grid3x3):
-        """The one ranking and every attempt read one ``_cell_lines`` per cell."""
-        built, rankings = [], []
-        real_cell_lines, real_rank = pipeline._cell_lines, pipeline._rank
+        """One ``_memberships`` call per search: the one ranking and every
+        attempt read its per-cell entries."""
+        built, rankings, attempted = [], [], []
+        real_memberships, real_rank = pipeline._memberships, pipeline._rank
+        real_attempt = pipeline._attempt_cell
 
-        def cell_lines(arr, cell):
-            built.append(cell.point_indices)
-            return real_cell_lines(arr, cell)
+        def memberships(arr, pr):
+            built.append((pr, real_memberships(arr, pr)))
+            return built[-1][1]
 
         def rank(memberships, k):
-            rankings.append(len(memberships))
+            rankings.append(memberships)
             return real_rank(memberships, k)
-        monkeypatch.setattr(pipeline, "_cell_lines", cell_lines)
+
+        def attempt(arr, cell, membership, cell_index, *args):
+            attempted.append((cell_index, membership))
+            return real_attempt(arr, cell, membership, cell_index, *args)
+        monkeypatch.setattr(pipeline, "_memberships", memberships)
         monkeypatch.setattr(pipeline, "_rank", rank)
+        monkeypatch.setattr(pipeline, "_attempt_cell", attempt)
         cfg = PipelineConfig(k=3, c=1, beta_k=2)
         report = find_complete_tuple(grid3x3, cfg)
         # No cell has a tuple, so every cell was attempted.
         assert isinstance(report, NotFoundReport)
-        assert rankings == [report.t]
-        assert len(report.attempts) == report.t == 5
+        assert len(built) == 1
+        pr, result = built[0]
+        assert len(rankings) == 1 and rankings[0] is result
+        assert len(result) == len(report.attempts) == report.t == 5
+        assert all(membership is result[ci] for ci, membership in attempted)
+        assert sorted(ci for ci, _ in attempted) == list(range(report.t))
         cells = partition(grid3x3.points, report.r).cells
-        assert sorted(built) == sorted(cell.point_indices for cell in cells)
+        assert [cell.point_indices for cell in pr.cells] == [cell.point_indices for cell in cells]
+        for cell, by_line in zip(cells, result):
+            assert set().union(*by_line.values()) == set(cell.point_indices)
 
     @pytest.mark.parametrize("arr, k, sheared", [
         (grid_construction(4), 3, False),
@@ -411,7 +488,7 @@ class TestSearchSharesLibrarySteps:
             ref_dual = dualize(shear(sub, shears[-1]) if shears[-1] else sub)
             ref = build_graph(ref_dual, range(ref_dual.n_points))
             along = {li: sorted(on, key=lambda i: (arr.points[i].x, arr.points[i].y))
-                     for li, on in pipeline._cell_lines(arr, cell).items()}
+                     for li, on in pipeline._memberships(arr, pr)[pr.cells.index(cell)].items()}
             runs_on = pipeline._runs(along, k)
             run_of = {(li, i): (li, n) for li, runs in runs_on.items()
                       for n, run in enumerate(runs) for i in run}
