@@ -1,15 +1,15 @@
 """Arrangement model, extremal generators, incidence engine, and duality.
 
 An :class:`Arrangement` is an indexed point set plus an indexed line set with
-a lazily built, cached incidence index.  The incidence engine,
+a lazily built, cached incidence index: each line's points, in order along it;
+pencils and the pair list are derived from it on first use.  The engine,
 ``Arrangement._build_index``, is a hashed, int-only build in one pass over the
-lines: point coordinates are cleared of denominators once and the points are
-indexed by column.  A non-vertical line can hold a point only at the columns
-of one residue class (see :func:`_residue_walk`); it walks that arithmetic
-progression when it has fewer terms than there are columns, and otherwise
-solves for Y at every column, so no (point, line) pair is scanned.  The
-independent oracle is the pairwise scan ``brute_incidences`` in
-``tests/conftest.py``.
+lines: coordinates are cleared of denominators and points indexed by column.
+A non-vertical line can hold a point only at the columns of one residue class
+(see :func:`_residue_walk`); it walks that arithmetic progression when it has
+fewer terms than there are columns, and otherwise solves for Y at every
+column, so no (point, line) pair is scanned.  The independent oracle is the
+pairwise scan ``brute_incidences`` in ``tests/conftest.py``.
 """
 
 from __future__ import annotations
@@ -72,7 +72,7 @@ class Arrangement:
         return sum(map(len, self._points_on_line))
 
     def _build_index(self) -> None:
-        """The incidence engine: both index views, in one pass over the lines.
+        """The incidence engine: each line's points, in one pass over the lines.
 
         With d the lcm of all coordinate denominators, point (x, y) becomes
         the integer pair (X, Y) = (d*x, d*y) and line (a, b, c) holds it iff
@@ -84,8 +84,7 @@ class Arrangement:
         otherwise (a grid line has |b| = 1, hence every X) the line is solved
         for Y at each column in ascending X, and a divisibility test plus a
         dict lookup finds the point.  Either way each line's points come out
-        in order along it, and appending each line index to its points as it
-        is reached keeps every ``lines_through_point`` ascending.
+        in order along it.
         """
         d = lcm(*(q.denominator for p in self.points for q in (p.x, p.y)))
         column: dict[int, dict[int, int]] = {}   # X -> {Y: point index}
@@ -97,7 +96,6 @@ class Arrangement:
         # |b| <= limit has at least as many terms as there are columns.
         limit = max(1, (hi - lo) // max(len(columns), 1))
         on_line: list[tuple[int, ...]] = []
-        through: list[list[int]] = [[] for _ in self.points]
         for j, ln in enumerate(self.lines):
             a, b, cd = ln.a, ln.b, ln.c * d
             if b == 0:
@@ -122,11 +120,8 @@ class Arrangement:
                             i = ys.get(-(a * x + cd) // b)
                             if i is not None:
                                 on.append(i)
-            for i in on:
-                through[i].append(j)
             on_line.append(tuple(on))
         self._points_on_line = on_line
-        self._lines_through_point = [tuple(v) for v in through]
 
     def points_on_line(self, line_index: int) -> tuple[int, ...]:
         """The line's points in order along it: x ascending, or y on a vertical line."""
@@ -135,9 +130,17 @@ class Arrangement:
         return self._points_on_line[line_index]
 
     def lines_through_point(self, point_index: int) -> tuple[int, ...]:
-        """The lines through the point, ascending by line index."""
+        """The lines through the point, ascending by line index.
+
+        Only the line view reads pencils, so they are derived on first call,
+        in one pass over ``points_on_line`` in line order.
+        """
         if self._lines_through_point is None:
-            self._build_index()
+            through: list[list[int]] = [[] for _ in self.points]
+            for j in range(self.n_lines):
+                for i in self.points_on_line(j):
+                    through[i].append(j)
+            self._lines_through_point = [tuple(v) for v in through]
         return self._lines_through_point[point_index]
 
 

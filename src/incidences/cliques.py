@@ -78,7 +78,8 @@ def build_graph(arr: Arrangement, kept_points: Iterable[int]) -> IntersectionGra
 
     Each kept point p with incident line set S(p) contributes all C(|S(p)|, 2)
     edges, labelled p.  A pair of lines can be claimed by at most one point
-    (distinct lines meet once); this uniqueness is asserted.
+    (distinct lines meet once); this uniqueness is asserted for every key, so
+    each kept point labels exactly C(|S(p)|, 2) edges.
     """
     kept = frozenset(kept_points)
     if not kept <= set(range(arr.n_points)):
@@ -91,13 +92,6 @@ def build_graph(arr: Arrangement, kept_points: Iterable[int]) -> IntersectionGra
                 key = (through[u], through[v]) if through[u] < through[v] else (through[v], through[u])
                 assert key not in edges, "two distinct lines crossing twice"
                 edges[key] = p
-    mult = point_multiplicities(arr)
-    label_counts: dict[int, int] = {}
-    for w in edges.values():
-        label_counts[w] = label_counts.get(w, 0) + 1
-    for p in kept:
-        expected = mult[p] * (mult[p] - 1) // 2
-        assert label_counts.get(p, 0) == expected
     return IntersectionGraph(arr.n_lines, edges, kept)
 
 
@@ -291,18 +285,17 @@ def degenerate_filter(lines) -> bool:
 def enumerate_complete_tuples(g: IntersectionGraph, arr: Arrangement, k: int) -> list[CompleteTuple]:
     """Every complete k-tuple of ``g`` (built from ``arr``), deterministic order.
 
-    Each kept point's pencil is one group of ``k_cliques`` (``build_graph``
-    asserts that it is complete), and its label keeps the search to lines in
-    general position; each tuple carries the witnessing point of every pair.
+    Each kept point's pencil, read from ``arr.lines_through_point``, is one
+    group of ``k_cliques``: ``g`` holds exactly those edges, labelled by the
+    point, and the label keeps the search to lines in general position.
+    ``g.edges`` is read only for each tuple's witnessing point of every pair.
     An empty list is a valid outcome.
     """
     if k < 3:
         raise ValueError("k must be >= 3")
-    pencils: dict[int, set[int]] = {}
-    for pair, p in g.edges.items():
-        pencils.setdefault(p, set()).update(pair)
+    pencils = [(p, arr.lines_through_point(p)) for p in sorted(g.kept_points)]
     return [CompleteTuple(lines_idx, {pair: g.edges[pair] for pair in combinations(lines_idx, 2)})
-            for lines_idx in k_cliques(g.n_vertices, list(pencils.items()), k)]
+            for lines_idx in k_cliques(g.n_vertices, pencils, k)]
 
 
 def count_triangles(arr: Arrangement) -> int:

@@ -252,10 +252,11 @@ def shuffled_lattice(side: int, seed: int, den: int = 1) -> Arrangement:
 
 
 def assert_index_in_order(arr: Arrangement) -> None:
-    """Both index views against ``brute_incidences``, and their order:
-    each line's points strictly along it (x ascending, or y ascending on a
-    vertical line), each point's lines ascending; the pair list, derived
-    last, still sorted by (line, point)."""
+    """The index and the views derived from it against ``brute_incidences``,
+    and their order: each line's points strictly along it (x ascending, or y
+    ascending on a vertical line); each point's lines, not built until first
+    asked for, ascending; the pair list, derived last, still sorted by (line,
+    point)."""
     brute = brute_incidences(arr)
     on_brute: dict[int, set[int]] = {}
     through_brute: dict[int, set[int]] = {}
@@ -267,6 +268,7 @@ def assert_index_in_order(arr: Arrangement) -> None:
         assert len(on) == len(set(on)) and set(on) == on_brute.get(j, set())
         coords = [arr.points[i].y if ln.b == 0 else arr.points[i].x for i in on]
         assert all(u < v for u, v in zip(coords, coords[1:]))
+    assert arr._lines_through_point is None
     for i in range(arr.n_points):
         assert list(arr.lines_through_point(i)) == sorted(through_brute.get(i, ()))
     assert arr._incidences is None
@@ -308,17 +310,29 @@ class TestIndexOrder:
         assert {2, 3, 16} <= {Fraction(v).denominator for p in arr.points for v in (p.x, p.y)}
         assert_index_in_order(arr)
 
+    @pytest.mark.parametrize("arr", [
+        shuffled_lattice(5, 6), mixed_arrangement(8, 4, 15), Arrangement([Point(0, 0)], []),
+    ], ids=["lattice5", "mixed", "no-line"])
+    def test_pencils_as_the_first_accessor(self, arr):
+        through_brute: dict[int, list[int]] = {}
+        for i, j in brute_incidences(arr):
+            through_brute.setdefault(i, []).append(j)
+        assert arr._points_on_line is None
+        pencils = [arr.lines_through_point(i) for i in range(arr.n_points)]
+        assert pencils == [tuple(sorted(through_brute.get(i, ()))) for i in range(arr.n_points)]
+        assert arr._incidences is None
+
     def test_no_search_or_census_builds_the_pair_list(self):
         arr = shuffled_lattice(6, 3)
         cert = find_complete_tuple(arr, PipelineConfig(k=4, c=measured_density(arr)))
         assert isinstance(cert, CompleteTupleCertificate)
-        assert arr._incidences is None
+        assert arr._incidences is None and arr._lines_through_point is None
         arr = shuffled_lattice(6, 4)
         incidence_stats(arr)
         measured_density(arr)
         st_bound_report(arr, 1)
         count_triangles(arr)
-        assert arr._incidences is None
+        assert arr._incidences is None and arr._lines_through_point is None
 
     @pytest.mark.parametrize("argv, expected", [
         (["generate", "--kind", "spanned"], 0), (["analyze"], 0),
@@ -329,15 +343,17 @@ class TestIndexOrder:
     def test_no_command_builds_the_pair_list(self, argv, expected, tmp_path, monkeypatch):
         src = tmp_path / "lattice.json"
         src.write_text(dumps_canonical(arrangement_to_document(shuffled_lattice(6, 5))))
-        built = []
-        real = Arrangement.incidences
+        made = []
+        real = Arrangement.__init__
 
-        def incidences(arr):
-            built.append(arr)
-            return real.fget(arr)
-        monkeypatch.setattr(Arrangement, "incidences", property(incidences))
+        def init(arr, points, lines):
+            real(arr, points, lines)
+            made.append(arr)
+        monkeypatch.setattr(Arrangement, "__init__", init)
         code = main([*argv, "--input", str(src), "--output", str(tmp_path / "out")])
-        assert code == expected and built == []
+        assert code == expected and made
+        # Either view, once read, stays cached on its arrangement.
+        assert all(a._incidences is None and a._lines_through_point is None for a in made)
 
 
 class TestGridConstruction:

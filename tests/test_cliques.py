@@ -7,8 +7,8 @@ from itertools import combinations
 
 import pytest
 
-from incidences import (Arrangement, Line, NotFoundReport, PipelineConfig, Point,
-                        build_graph, cliques, collinear, count_triangles,
+from incidences import (Arrangement, CompleteTuple, Line, NotFoundReport, PipelineConfig,
+                        Point, build_graph, cliques, collinear, count_triangles,
                         de_caen_szekely_monitor, degenerate_filter, dualize,
                         enumerate_complete_tuples, find_complete_tuple,
                         generic_shear_value, grid_construction, intersection,
@@ -370,6 +370,15 @@ class TestDegeneracyOrder:
         assert _degeneracy_order(n, groups)[0] == brute_degeneracy_order(n, adj)
 
 
+def assert_line_view_order(g, found, k):
+    """``found`` is the line view's whole output, in order and with every
+    witness: the reference gives each edge its own 2-vertex group labelled by
+    its witness, so it reads no pencil of the arrangement."""
+    ref = k_cliques(g.n_vertices, [(p, pair) for pair, p in g.edges.items()], k)
+    assert found == [CompleteTuple(t, {pair: g.edges[pair] for pair in combinations(t, 2)})
+                     for t in ref]
+
+
 class TestEnumerateCompleteTuples:
     def test_single_triangle(self, triangle_arrangement):
         g = build_graph(triangle_arrangement, {0, 1, 2})
@@ -399,6 +408,7 @@ class TestEnumerateCompleteTuples:
         assert len(found) == {3: 14, 4: 0}[k]   # grid 3 has no complete 4-tuple
         brute = brute_complete_line_tuples(arr, kept, k)
         assert sorted(t.line_indices for t in found) == sorted(brute)
+        assert_line_view_order(g, found, k)
 
     @pytest.mark.parametrize("k", [3, 4])
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -409,6 +419,7 @@ class TestEnumerateCompleteTuples:
         found = enumerate_complete_tuples(g, arr, k)
         brute = brute_complete_line_tuples(arr, kept, k)
         assert sorted(t.line_indices for t in found) == sorted(brute)
+        assert_line_view_order(g, found, k)
 
     @pytest.mark.parametrize("k", [3, 4, 5])
     def test_spanned_lattice3_matches_brute_force(self, grid3x3, k):
@@ -420,6 +431,7 @@ class TestEnumerateCompleteTuples:
         found = enumerate_complete_tuples(g, grid3x3, k)
         brute = brute_complete_line_tuples(grid3x3, kept, k)
         assert sorted(t.line_indices for t in found) == sorted(brute)
+        assert_line_view_order(g, found, k)
 
     @pytest.mark.parametrize("k", [3, 4, 5])
     def test_dual_lattice3_matches_brute_force(self, grid3x3, k):
@@ -434,6 +446,7 @@ class TestEnumerateCompleteTuples:
         found = enumerate_complete_tuples(g, dual, k)
         brute = brute_complete_line_tuples(dual, kept, k)
         assert sorted(t.line_indices for t in found) == sorted(brute)
+        assert_line_view_order(g, found, k)
         if k == 4:
             assert len(found) == 78
             assert len(list(k_cliques(g.n_vertices, edge_groups(g.edges), k))) == 126
