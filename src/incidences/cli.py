@@ -123,8 +123,17 @@ def _write_text(*targets: tuple[str | None, str]) -> None:
     Then each new file replaces its target in one rename, so a reader never
     sees a partial report, and the other targets and stdout are written.
     Temp files left by an error are removed.  A failed write raises
-    InvalidParamsError naming the path as given, never the temp file.
+    InvalidParamsError naming the path as given, never the temp file; so do
+    two paths to one new or regular file, before any file is opened.
     """
+    regular: dict[str, str] = {}   # each new or regular file target -> its path
+    for path, _ in targets:
+        target = path and os.path.realpath(path)
+        if target and (os.path.isfile(target) or not os.path.exists(target)):
+            if target in regular:
+                raise InvalidParamsError(
+                    f"cannot write {path}: the same file as {regular[target]}")
+            regular[target] = path
     staged: list[tuple[str, str, str]] = []   # (path, temp file, target)
     through = []                              # (path, open file, text)
     try:
@@ -132,15 +141,14 @@ def _write_text(*targets: tuple[str | None, str]) -> None:
             if path is None:
                 continue
             target = os.path.realpath(path)
-            exists = os.path.exists(target)
-            if exists and not os.path.isfile(target):
+            if target not in regular:
                 through.append((path, open(path, "w", encoding="utf-8"), text))
                 continue
             tmp = f"{target}.{os.getpid()}.{os.urandom(4).hex()}.tmp"
             fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
             staged.append((path, tmp, target))
             with open(fd, "w", encoding="utf-8") as fh:
-                if exists:
+                if os.path.exists(target):
                     os.fchmod(fh.fileno(), stat.S_IMODE(os.stat(target).st_mode))
                 fh.write(text)
         while staged:
@@ -478,8 +486,11 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(level=os.environ.get("INCIDENCES_LOG", "WARNING").upper(),
-                        format="%(levelname)s %(name)s: %(message)s")
+    level = os.environ.get("INCIDENCES_LOG", "WARNING").upper()
+    if not isinstance(logging.getLevelName(level), int):   # a name maps to its number
+        print(f"error: INCIDENCES_LOG: unknown level {level!r}", file=sys.stderr)
+        return EXIT_BAD_INPUT
+    logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
     try:
         args = _parser().parse_args(argv)
     except SystemExit as exc:

@@ -15,8 +15,8 @@ set, ``json`` runs its pure-Python encoder, so the text is built here instead:
 objects are walked in Python, and a list whose leaves are all numbers, booleans
 or nulls at one depth (a ``points`` or ``lines`` array) is encoded by the C
 encoder in compact form and indented with one ``str.replace`` per nesting
-level.  Reading refuses what writing could not reproduce as JSON: NaN, the
-infinities and numbers past the float range.
+level.  Reading refuses NaN, the infinities, numbers past the float range
+and nesting past ``MAX_DEPTH`` levels, the same limit on every interpreter.
 """
 
 from __future__ import annotations
@@ -29,6 +29,11 @@ from .arrangement import Arrangement
 from .geometry import Line, Point, Rational
 
 SCHEMA_VERSION = "1"
+# The deepest level a document may reach: the root object is level 1, a
+# top-level value level 2, and each list or object inside adds one.  Every
+# interpreter decodes deeper, and the writer's one frame per level leaves
+# half the default recursion limit to its caller.
+MAX_DEPTH = 500
 
 
 class DocumentError(ValueError):
@@ -80,6 +85,16 @@ def arrangement_to_document(arr: Arrangement, metadata: dict | None = None) -> d
     return doc
 
 
+def _nests_too_deep(value, level: int) -> bool:
+    """Whether a list or object at ``level`` nests past ``MAX_DEPTH``."""
+    if level > MAX_DEPTH:
+        return True
+    for child in value.values() if isinstance(value, dict) else value:
+        if isinstance(child, (list, tuple, dict)) and _nests_too_deep(child, level + 1):
+            return True
+    return False
+
+
 def arrangement_from_document(doc) -> tuple[Arrangement, dict]:
     """The arrangement and metadata of a decoded document, in one pass per list.
 
@@ -90,7 +105,8 @@ def arrangement_from_document(doc) -> tuple[Arrangement, dict]:
     fraction, a tuple, a bool or an ``int`` subclass, a reducible pair, a
     line that needs canonicalizing, a malformed shape) takes the per-entry
     checks of ``_point_entry`` and ``_line_entry``, whose messages are the
-    ``DocumentError`` messages.  Both routes give equal objects.
+    ``DocumentError`` messages.  Both routes give equal objects.  Every
+    top-level value but ``points`` and ``lines`` may reach level ``MAX_DEPTH``.
     """
     if not isinstance(doc, dict):
         raise DocumentError("document root must be an object")
@@ -100,6 +116,10 @@ def arrangement_from_document(doc) -> tuple[Arrangement, dict]:
     raw_lines = doc.get("lines")
     if not isinstance(raw_points, list) or not isinstance(raw_lines, list):
         raise DocumentError("document needs 'points' and 'lines' lists")
+    for key, value in doc.items():
+        if (key != "points" and key != "lines" and isinstance(value, (list, tuple, dict))
+                and _nests_too_deep(value, 2)):
+            raise DocumentError(f"{key}: nested deeper than {MAX_DEPTH} levels")
     points = []
     for i, entry in enumerate(raw_points):
         if type(entry) is list and len(entry) == 2:
@@ -133,9 +153,8 @@ def arrangement_from_document(doc) -> tuple[Arrangement, dict]:
 
 # The C encoder runs only without ``indent``.  Compact separators put no
 # space into its text, so indenting only has to add newlines and padding.
-# Its own circular-reference check would halve its speed: ``dumps_canonical``
-# checks the path it walks, and a cycle inside a list encoded whole recurses
-# into a RecursionError.
+# Its own circular-reference check would halve its speed: a cycle recurses
+# into a RecursionError instead, in ``_write`` or in a list encoded whole.
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False,
                             check_circular=False)
 
@@ -181,83 +200,59 @@ def _indent_numeric_list(text: str, level: int) -> str | None:
     return "".join((opens(1), inner, closes(1)))
 
 
-def _pieces(value, level: int, try_compact: bool):
-    """The indented text of one list or dict at ``level``, in pieces.
+def _write(value, level: int, try_compact: bool, out: list[str]) -> None:
+    """Append the indented text of ``value`` at ``level`` to ``out``.
 
-    Yields strings, and a ``(child, level, try_compact)`` frame for each
-    nested list or dict, whose text belongs at that point.  A list that does
-    not start with a string or an object is first tried whole through the C
-    encoder; if it has no simple indented form its elements go one by one,
-    and no list below it is encoded whole again, so no subtree is encoded
-    once per level.
+    One frame per nested list or dict.  A list that does not start with a
+    string or an object is first tried whole through the C encoder; if it has
+    no simple indented form its elements go one by one, and no list below it
+    is encoded whole again, so no subtree is encoded once per level.
     """
+    if not isinstance(value, (list, tuple, dict)) or not value:
+        out.append(_ENCODER.encode(value))
+        return
     if isinstance(value, dict):
-        if not value:
-            yield "{}"
-            return
         opening, closing = "{", "}"
         items = sorted(value.items())
         if not all(isinstance(key, str) for key, _ in items):
             raise TypeError("keys must be str")
         items = ((_ENCODER.encode(key) + ": ", child) for key, child in items)
     else:
-        if not value:
-            yield "[]"
-            return
         if try_compact and not isinstance(value[0], (str, dict)):
             indented = _indent_numeric_list(_ENCODER.encode(value), level)
             if indented is not None:
-                yield indented
+                out.append(indented)
                 return
             try_compact = False
         opening, closing = "[", "]"
         items = (("", child) for child in value)
     separator = opening + "\n" + "  " * (level + 1)
     for key, child in items:
-        yield separator + key
-        if isinstance(child, (list, tuple, dict)):
-            yield child, level + 1, try_compact
-        else:
-            yield _ENCODER.encode(child)
+        out.append(separator + key)
+        _write(child, level + 1, try_compact, out)
         separator = ",\n" + "  " * (level + 1)
-    yield "\n" + "  " * level + closing
+    out.append("\n" + "  " * level + closing)
 
 
 def dumps_canonical(obj) -> str:
     """Byte-stable JSON: sorted keys, two-space indent, trailing newline.
 
     The text is exactly ``json.dumps(obj, sort_keys=True, indent=2) + "\n"``
-    for str-keyed JSON values.  Dicts and lists are walked with an explicit
-    stack, not recursion, so nesting as deep as a document may be read is
-    written too; each list of plain numbers is encoded whole by the C encoder
-    and indented by ``str.replace`` (see ``_indent_numeric_list``).
+    for str-keyed JSON values.  Dicts and lists are walked by recursion, one
+    frame per level; each list of plain numbers is encoded whole by the C
+    encoder and indented by ``str.replace`` (see ``_indent_numeric_list``).
 
     What JSON cannot carry is raised as DocumentError, before any output: an
     integer past Python's int-string limit (it cannot be read either), a NaN
-    or infinite float, and a circular or overly deep structure.
+    or infinite float, and a circular structure or one too deep to recurse into.
     """
+    out: list[str] = []
     try:
-        if not isinstance(obj, (list, tuple, dict)):
-            return _ENCODER.encode(obj) + "\n"
-        out: list[str] = []
-        stack = [(id(obj), _pieces(obj, 0, True))]
-        on_path = {id(obj)}
-        while stack:
-            for piece in stack[-1][1]:
-                if isinstance(piece, str):
-                    out.append(piece)
-                    continue
-                if id(piece[0]) in on_path:
-                    raise ValueError("circular reference")
-                on_path.add(id(piece[0]))
-                stack.append((id(piece[0]), _pieces(*piece)))
-                break
-            else:
-                on_path.remove(stack.pop()[0])
-        out.append("\n")
-        return "".join(out)
+        _write(obj, 0, True, out)
     except (ValueError, RecursionError) as exc:
         raise DocumentError(f"unwritable JSON: {exc}") from exc
+    out.append("\n")
+    return "".join(out)
 
 
 def _finite_float(text: str) -> float:
@@ -276,7 +271,8 @@ _DECODER = json.JSONDecoder(parse_float=_finite_float, parse_constant=_no_consta
 
 def loads_document(text: str) -> dict:
     """Parse JSON; integers past Python's int-string limit, NaN, the
-    infinities, floats past the float range and over-deep nesting are rejected."""
+    infinities, floats past the float range and nesting too deep to decode
+    are rejected; ``arrangement_from_document`` holds the rest to MAX_DEPTH."""
     try:
         return _DECODER.decode(text)
     except json.JSONDecodeError as exc:

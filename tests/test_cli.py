@@ -10,6 +10,8 @@ import os
 import random
 import re
 import stat
+import subprocess
+import sys
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -232,6 +234,26 @@ class TestPartitionCommand:
         if old is not None:
             assert ok.read_text() == old
 
+    @pytest.mark.parametrize("svg", ["p.json", "link.json"], ids=["same-path", "symlink"])
+    def test_svg_and_report_on_one_file_exit_2(self, tmp_path, capsys, svg):
+        """Both would be staged and renamed onto one file, the report over the SVG."""
+        doc = write_doc(tmp_path / "g2.json", grid_construction(2))
+        out = tmp_path / "p.json"
+        if svg == "link.json":
+            (tmp_path / svg).symlink_to(out)
+        assert main(["partition", "--input", doc, "--r", "2",
+                     "--svg", str(tmp_path / svg), "--output", str(out)]) == 2
+        assert capsys.readouterr().err == \
+            f"error: cannot write {out}: the same file as {tmp_path / svg}\n"
+        left = ["g2.json"] if svg == "p.json" else ["g2.json", "link.json"]
+        assert sorted(os.listdir(tmp_path)) == left
+
+    def test_svg_and_report_both_to_dev_null(self, tmp_path):
+        doc = write_doc(tmp_path / "g2.json", grid_construction(2))
+        assert main(["partition", "--input", doc, "--r", "2",
+                     "--svg", os.devnull, "--output", os.devnull]) == 0
+        assert os.listdir(tmp_path) == ["g2.json"]
+
     def test_csv_profile(self, tmp_path):
         doc = write_doc(tmp_path / "g2.json", grid_construction(2))
         out = tmp_path / "prof.csv"
@@ -351,27 +373,53 @@ class TestArgumentErrors:
     def test_missing_required(self):
         assert main(["theorem1"]) == 2
 
-    @pytest.mark.parametrize("command, text", [
+    @pytest.mark.parametrize("command, text, error", [
         (["analyze"], '{"schema_version": "1", "points": [[[' + "1" * 5001
-         + ', 1], [0, 1]]], "lines": []}'),
-        (["analyze"], "[" * 100000),
+         + ', 1], [0, 1]]], "lines": []}', "error:"),
+        (["analyze"], "[" * 100000, "error:"),
         (["generate", "--kind", "spanned"],
-         dumps_canonical(arrangement_to_document(Arrangement([Point(0, 0)], [])))),
-        (["generate", "--kind", "spanned"], huge_coordinate_points()),
+         dumps_canonical(arrangement_to_document(Arrangement([Point(0, 0)], []))), "error:"),
+        (["generate", "--kind", "spanned"], huge_coordinate_points(), "error:"),
         *((["analyze"], '{"schema_version": "1", "points": [], "lines": [], "metadata": '
-           + metadata + "}")
+           + metadata + "}", "error:")
           for metadata in ('{"x": NaN}', '{"x": Infinity}', '{"x": -Infinity}',
                            '{"x": [1e400]}', "[]", "0", "false", '""')),
+        # An ignored key whose innermost list is level 501 (the root is level 1).
+        *((command, '{"schema_version": "1", "points": [], "lines": [], "extra": '
+           + "[" * 500 + "]" * 500 + "}", "error: extra: nested deeper than 500 levels\n")
+          for command in (["analyze"], ["partition", "--r", "2"],
+                          ["theorem1", "--k", "3", "--c", "auto"],
+                          ["generate", "--kind", "spanned"])),
     ], ids=["5001-digit-numerator", "deep-nesting", "spanned-one-point",
             "spanned-output-past-digit-limit", "metadata-nan", "metadata-infinity",
             "metadata-minus-infinity", "metadata-float-overflow", "metadata-empty-list",
-            "metadata-zero", "metadata-false", "metadata-empty-string"])
-    def test_rejected_input_exits_2(self, tmp_path, capsys, command, text):
+            "metadata-zero", "metadata-false", "metadata-empty-string",
+            "level-501-analyze", "level-501-partition", "level-501-theorem1",
+            "level-501-generate-spanned"])
+    def test_rejected_input_exits_2(self, tmp_path, capsys, command, text, error):
         doc = tmp_path / "in.json"
         doc.write_text(text)
         assert main(command + ["--input", str(doc), "--output", str(tmp_path / "out")]) == 2
-        assert capsys.readouterr().err.startswith("error:")
+        assert capsys.readouterr().err.startswith(error)
         assert os.listdir(tmp_path) == ["in.json"]   # no report, no temp file
+
+    @pytest.mark.parametrize("level", ["foo", "5", "warnin"])
+    def test_unknown_log_level_exits_2(self, capsys, monkeypatch, level):
+        monkeypatch.setenv("INCIDENCES_LOG", level)
+        assert main(["generate", "--kind", "grid", "--n", "2"]) == 2
+        assert capsys.readouterr() == \
+            ("", f"error: INCIDENCES_LOG: unknown level {level.upper()!r}\n")
+
+    def test_unknown_log_level_exits_2_in_a_fresh_process(self):
+        """Outside pytest the root logger has no handler, so ``basicConfig``
+        would itself have raised on the level."""
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "INCIDENCES_LOG": "foo",
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        run = subprocess.run([sys.executable, "-m", "incidences", "generate", "--kind", "grid",
+                              "--n", "2"], env=env, capture_output=True, text=True, timeout=60)
+        assert (run.returncode, run.stdout, run.stderr) == \
+            (2, "", "error: INCIDENCES_LOG: unknown level 'FOO'\n")
 
     @pytest.mark.parametrize("command", [
         ["analyze"], ["partition", "--r", "2"], ["theorem1", "--k", "3", "--c", "auto"],

@@ -9,7 +9,6 @@ must refuse what JSON cannot carry.
 
 import copy
 import json
-import sys
 
 import pytest
 from conftest import (IntSubclass, first_difference, reference_arrangement_from_document,
@@ -124,6 +123,13 @@ class TestCanonicalWriter:
             with pytest.raises(DocumentError, match="unwritable"):
                 dumps_canonical(value)
 
+    def test_nesting_past_the_recursion_limit_is_a_document_error(self):
+        deep = "s"
+        for _ in range(5000):
+            deep = [deep]
+        with pytest.raises(DocumentError, match="unwritable"):
+            dumps_canonical(deep)
+
 
 # Entries off the writer's form that the reader accepts (on grid 2, the last
 # point and line repeat one of the grid's), and entries it refuses.
@@ -236,20 +242,23 @@ class TestReader:
                 _reading(reference_arrangement_from_document, doc)
 
 
-# Nesting shapes for metadata: lists encoded whole, a list with a string leaf
-# and a ragged one (both walked element by element), objects, and both mixed.
+# Nesting shapes for metadata, each d lists or objects deep: lists encoded
+# whole, a list with a string leaf and a ragged one (both walked element by
+# element), objects, and both mixed.
 NESTED = {
     "lists": lambda d: "[" * d + "1" + "]" * d,
     "string-leaf": lambda d: "[" * d + '"s"' + "]" * d,
     "ragged": lambda d: "[1," * d + "2" + "]" * d,
     "objects": lambda d: '{"a":' * d + "null" + "}" * d,
-    "mixed": lambda d: '[{"a":' * (d // 2) + "1" + "}]" * (d // 2),
+    "mixed": lambda d: "[" * (d % 2) + '[{"a":' * (d // 2) + "1" + "}]" * (d // 2) + "]" * (d % 2),
 }
 
 
 class TestDeepMetadata:
     @pytest.mark.parametrize("shape", NESTED)
-    def test_as_deep_as_readable_is_writable(self, tmp_path, shape):
+    def test_as_deep_as_readable_is_writable(self, tmp_path, capsys, shape):
+        """``{"m": value}`` is level 2, so a value d deep reaches level d + 2:
+        level 500 is read and written back, level 501 exits 2."""
         doc = tmp_path / "in.json"
         out = tmp_path / "out.json"
 
@@ -257,28 +266,10 @@ class TestDeepMetadata:
             doc.write_text(_document_with_metadata('{"m": ' + NESTED[shape](depth) + "}"))
             return main(argv + ["--input", str(doc), "--output", str(out)])
 
-        # The deepest metadata analyze reads, which depends on the interpreter:
-        # double until some depth is refused, then bisect below it.
-        lo, hi = 1, 2
-        while run(["analyze"], hi) == 0:
-            lo, hi = hi, 2 * hi
-            assert hi <= 2**20, "no metadata depth is refused"
-        hi -= 1
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            lo, hi = (mid, hi) if run(["analyze"], mid) == 0 else (lo, mid - 1)
-        assert lo > 900
         for argv in (["analyze"], ["partition", "--r", "2"],
                      ["theorem1", "--k", "3", "--c", "auto"], ["generate", "--kind", "spanned"]):
-            assert run(argv, lo) == 0, argv
+            assert run(argv, 498) == 0, argv
             text = out.read_text()
-            # json's indenting encoder recurses per level; only the oracle
-            # gets the deeper limit, the commands run under the default.
-            limit = sys.getrecursionlimit()
-            sys.setrecursionlimit(max(limit, 4 * lo + 1000))
-            try:
-                expected = reference_dumps(json.loads(text))
-            finally:
-                sys.setrecursionlimit(limit)
-            assert first_difference(text, expected) is None, argv
-        assert run(["analyze"], lo + 1) == 2
+            assert first_difference(text, reference_dumps(json.loads(text))) is None, argv
+            assert run(argv, 499) == 2, argv
+            assert capsys.readouterr().err == "error: metadata: nested deeper than 500 levels\n"
