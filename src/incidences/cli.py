@@ -360,9 +360,9 @@ def cmd_theorem1(args) -> int:
             for pair, li in sorted(result.connecting_lines.items()):
                 lines.append(f"{pair[0]},{pair[1]},{li},{result.locality[pair]}")
         else:
-            lines = ["cell_index,floor_sum,pairable_lines,certified"]
+            lines = ["r,cell_index,floor_sum,pairable_lines,certified"]
             for a in result.attempts:
-                lines.append(f"{a.cell_index},{a.floor_sum},{a.pairable_lines},"
+                lines.append(f"{a.r},{a.cell_index},{a.floor_sum},{a.pairable_lines},"
                              f"{str(a.certified).lower()}")
         _write_text((args.output, "\n".join(lines) + "\n"))
         return EXIT_OK if found else EXIT_NOT_FOUND

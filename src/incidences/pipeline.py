@@ -2,25 +2,21 @@
 
 Given an arrangement with many incidences, find k arrangement points in
 general position such that every pair is joined by an arrangement line, and
-certify the result.  The search:
+certify the result.  For r = r0, r0 // 2, ... (r0 ~ beta * n^(2/3)) it:
 
-  1. partitions the points into balanced cells with r ~ beta * n^(2/3),
-  2. ranks the cells by the floor-sum  sum_lines floor(|cell on line| / k),
+  1. partitions the points into balanced cells and takes the top cell by
+     floor-sum  sum_lines floor(|cell on line| / k), read off one membership
+     per cell (its points on each line, in order along it), built in one pass,
+  2. goes on to the next r unless that floor-sum is positive (some line
+     holds k of the cell's points) or the cell is the partition's only one,
   3. breaks each line's cell points into disjoint runs of k consecutive
-     points ("segment lines"), which keeps the output local; steps 2 and 3
-     read the same cell membership (which cell points lie on which line, in
-     order along it), built in one pass over the incidence index, which
-     already lists each line's points in that order,
-  4. searches the cell's joined-pair graph (one vertex per cell point, two
-     points joined when they share a run on a line holding >= k cell points,
-     or lie on a line holding fewer) for the first k-clique with no collinear
-     triple.  The graph goes to the clique search as those runs, each a
-     clique labelled by its line, with no edge list built; the search prunes
-     collinear triples by label.  By projective duality this is the dual
-     search for k lines in general position, with no dual built,
-  5. attaches a locality certificate to the k points: for every pair, the
-     number of arrangement points strictly inside the open connecting
-     segment is less than k.
+     points ("segment lines"), which keeps the output local,
+  4. searches the cell's joined-pair graph (points joined when they share a
+     run, or a line holding < k cell points), each run a clique labelled by
+     its line, for the first k-clique with no collinear triple: by duality,
+     the dual search for k lines in general position, with no dual built,
+  5. certifies locality: for every pair of the k points, fewer than k
+     arrangement points lie strictly inside the open connecting segment.
 
 Every returned certificate is re-validated from scratch with the exact
 geometric predicates alone, independent of any search internals.
@@ -52,8 +48,8 @@ class PipelineConfig:
     """Search parameters.
 
     ``beta_k`` defaults to c/(2k); the partition parameter becomes
-    r = clamp(ceil(beta_k * n^(2/3)), 1, n).  Up to ``fallback_cells`` = 8
-    cells are tried, in ``rank_cells`` order; it is fixed, not an init field.
+    r = clamp(ceil(beta_k * n^(2/3)), 1, n).  ``fallback_cells`` = 8 is the
+    most cells searched over all rounds of r; it is fixed, not an init field.
     """
 
     k: int
@@ -101,13 +97,14 @@ class CompleteTupleCertificate:
 
 @dataclass(frozen=True)
 class CellAttempt:
-    """Statistics of one searched cell; each field name is its report key.
+    """Statistics of one searched cell of round r; each field name is its report key.
 
     ``dual_edges`` counts the edges of the cell's joined-pair graph (pairs of
     cell points joined by a usable line), the sum of C(|run|, 2) over its
     runs; the name is kept so that reports stay byte-stable.
     """
 
+    r: int
     cell_index: int
     floor_sum: int
     pairable_lines: int
@@ -268,7 +265,7 @@ def _attempt_cell(arr: Arrangement, cell: PartitionCell, membership: dict[int, l
     del runs_on, vertex   # only the groups are kept through the search
 
     clique = next(k_cliques(len(sub_point_idx), groups, cfg.k), None)
-    attempt = CellAttempt(cell_index, floor_sum, len(by_line),
+    attempt = CellAttempt(r, cell_index, floor_sum, len(by_line),
                           sum(len(run) * (len(run) - 1) // 2 for _, run in groups),
                           clique is not None)
     if clique is None:
@@ -284,23 +281,30 @@ def _attempt_cell(arr: Arrangement, cell: PartitionCell, membership: dict[int, l
     return cert, attempt
 
 
+def _top_cell(arr: Arrangement, r: int, k: int
+              ) -> tuple[int, RichCellReport | None, PartitionCell | None, dict[int, list[int]]]:
+    """Round r's cell count and top cell: report, cell, membership; the rest is freed."""
+    pr = partition(arr.points, r)
+    memberships = _memberships(arr, pr)
+    top = next(iter(_rank(memberships, k)), None)
+    if top is None:   # no points, no cells
+        return pr.t, None, None, {}
+    return pr.t, top, pr.cells[top.cell_index], memberships[top.cell_index]
+
+
 def find_complete_tuple(arr: Arrangement,
                         cfg: PipelineConfig) -> CompleteTupleCertificate | NotFoundReport:
     """Search the arrangement for a certified complete k-tuple of points.
 
-    Deterministic for a fixed configuration.  When the top-ranked cell fails,
-    up to ``cfg.fallback_cells`` (8) cells are tried in decreasing floor-sum
-    order; a NotFoundReport with full per-cell statistics is returned if all
-    of them fail.
+    Deterministic for a fixed configuration.  The rounds of the module
+    docstring stop at a certificate, a one-cell round or ``cfg.fallback_cells``
+    (8) searched cells; a NotFoundReport holds each searched cell's statistics.
 
     The search is sound, not exhaustive: every certificate re-validates, but
-    a tuple whose connecting pairs straddle cell boundaries or the k-point
-    segment runs is out of the procedure's reach (the segment restriction is
-    what guarantees the locality bound), so NotFound does not prove the
-    arrangement contains no such tuple.
+    a tuple with a pair across cells or k-point runs (the runs give the
+    locality bound) is out of reach, so NotFound does not prove there is none.
     """
-    n = arr.n_points
-    inc = arr.n_incidences
+    n, inc = arr.n_points, arr.n_incidences
     density_ok = Fraction(inc)**3 >= cfg.c**3 * Fraction(n)**4
     if not density_ok:
         try:
@@ -311,22 +315,18 @@ def find_complete_tuple(arr: Arrangement,
         logger.warning("incidence count %d below c * n^(4/3) for c=%s, n=%d; searching anyway",
                        inc, c_text, n)
     r = max(1, min(n, ceil_scaled_pow23(n, cfg.beta_k)))
-    pr = partition(arr.points, r)
-    # The ranking and every attempt read one membership per cell; only the
-    # tried cells' memberships are kept past the ranking.
-    memberships = _memberships(arr, pr)
-    ranking = _rank(memberships, cfg.k)[:cfg.fallback_cells]
-    memberships = {rep.cell_index: memberships[rep.cell_index] for rep in ranking}
-
     attempts: list[CellAttempt] = []
-    for rep in ranking:
-        ci = rep.cell_index
-        cert, attempt = _attempt_cell(arr, pr.cells[ci], memberships[ci], ci,
-                                      rep.floor_sum, cfg, r)
-        attempts.append(attempt)
-        if cert is not None:
-            return cert
-    return NotFoundReport(r, pr.t, n, arr.n_lines, inc, density_ok, tuple(attempts))
+    while True:
+        t, top, cell, membership = _top_cell(arr, r, cfg.k)
+        if top is not None and (top.floor_sum > 0 or t == 1):
+            cert, attempt = _attempt_cell(arr, cell, membership, top.cell_index,
+                                          top.floor_sum, cfg, r)
+            attempts.append(attempt)
+            if cert is not None:
+                return cert
+        if t <= 1 or len(attempts) == cfg.fallback_cells:
+            return NotFoundReport(r, t, n, arr.n_lines, inc, density_ok, tuple(attempts))
+        r //= 2
 
 
 @dataclass(frozen=True)

@@ -198,6 +198,19 @@ def random_nonvertical_arrangement(seed: int, n_points: int, n_lines: int,
     return Arrangement(arr.points, lines)
 
 
+def spanned_lattice(side: int) -> Arrangement:
+    """The side x side integer lattice with every line it spans."""
+    return spanned_lines([(x, y) for x in range(side) for y in range(side)])
+
+
+def parallel_rows(rows: int, cols: int) -> Arrangement:
+    """``rows`` horizontal lines of ``cols`` integer points each, and no other
+    line: no two points of different rows are joined, so no k >= 3 points in
+    general position are pairwise joined, however rich the lines are."""
+    return Arrangement([Point(x, y) for y in range(rows) for x in range(cols)],
+                       [Line.from_slope_intercept(0, y) for y in range(rows)])
+
+
 @pytest.fixture
 def grid3x3():
     """3x3 integer grid with all 20 spanned lines."""

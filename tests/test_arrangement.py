@@ -337,7 +337,7 @@ class TestIndexOrder:
     @pytest.mark.parametrize("argv, expected", [
         (["generate", "--kind", "spanned"], 0), (["analyze"], 0),
         (["analyze", "--format", "csv"], 0), (["partition", "--r", "4"], 0),
-        (["theorem1", "--k", "3", "--c", "auto"], 0), (["theorem1", "--k", "7", "--c", "auto"], 3),
+        (["theorem1", "--k", "3", "--c", "auto"], 0), (["theorem1", "--k", "13", "--c", "auto"], 3),
         (["theorem1", "--k", "4", "--c", "1", "--format", "csv"], 0),
     ], ids=lambda v: "-".join(v) if isinstance(v, list) else str(v))
     def test_no_command_builds_the_pair_list(self, argv, expected, tmp_path, monkeypatch):

@@ -27,6 +27,7 @@ from incidences.documents import (DocumentError, arrangement_from_document,
                                   arrangement_to_document, dumps_canonical,
                                   loads_document, pair_to_rational,
                                   rational_to_pair)
+from conftest import parallel_rows
 
 
 def huge_coordinate_points():
@@ -347,8 +348,22 @@ class TestTheorem1Command:
                                   "density_ok", "attempts"}
         assert not_found["attempts"]
         for attempt in not_found["attempts"]:
-            assert set(attempt) == {"cell_index", "floor_sum", "pairable_lines",
+            assert set(attempt) == {"r", "cell_index", "floor_sum", "pairable_lines",
                                     "dual_edges", "certified"}
+
+    def test_csv_not_found_has_one_row_per_searched_cell(self, tmp_path):
+        """Each searched cell's row names its round's r, as the JSON report
+        does: cell indices of different rounds index different partitions."""
+        doc = write_doc(tmp_path / "rows.json", parallel_rows(4, 8))
+        args = ["theorem1", "--input", doc, "--k", "3", "--c", "auto", "--beta-k", "100"]
+        assert main([*args, "--output", str(tmp_path / "run.json")]) == 3
+        assert main([*args, "--format", "csv", "--output", str(tmp_path / "run.csv")]) == 3
+        attempts = json.loads((tmp_path / "run.json").read_text())["result"]["report"]["attempts"]
+        assert [a["r"] for a in attempts] == [8, 4, 2]
+        assert (tmp_path / "run.csv").read_text().splitlines() == [
+            "r,cell_index,floor_sum,pairable_lines,certified",
+            *(f"{a['r']},{a['cell_index']},{a['floor_sum']},{a['pairable_lines']},false"
+              for a in attempts)]
 
     def test_fallback_cells_is_not_an_option(self, tmp_path):
         doc = write_doc(tmp_path / "g3.json", grid_construction(3))
@@ -513,7 +528,7 @@ class TestNoGarbage:
         (["analyze", "--input", "DOC"], 0),
         (["partition", "--input", "DOC", "--r", "4"], 0),
         (["theorem1", "--input", "DOC", "--k", "4", "--c", "auto", "--beta-k", "1/1000000"], 0),
-        (["theorem1", "--input", "DOC", "--k", "4", "--c", "auto"], 3),
+        (["theorem1", "--input", "DOC", "--k", "5", "--c", "auto"], 3),
     ], ids=["generate", "analyze", "partition", "theorem1-found", "theorem1-not-found"])
     def test_a_command_leaves_nothing_for_the_cyclic_collector(self, tmp_path, command, code):
         """After a warm-up call, a command's objects are all freed by

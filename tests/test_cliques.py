@@ -12,8 +12,8 @@ from incidences import (Arrangement, CompleteTuple, Line, NotFoundReport, Pipeli
                         de_caen_szekely_monitor, degenerate_filter, dualize,
                         enumerate_complete_tuples, find_complete_tuple,
                         generic_shear_value, grid_construction, intersection,
-                        measured_density, multiplicity_filter, pipeline,
-                        point_multiplicities, shear, spanned_lines)
+                        measured_density, multiplicity_filter, partition, pipeline,
+                        point_multiplicities, rank_cells, shear, spanned_lines)
 from incidences.cli import random_arrangement
 from incidences.cliques import _degeneracy_order, k_cliques
 from conftest import (brute_complete_line_tuples, brute_degeneracy_order,
@@ -311,12 +311,19 @@ class TestColourBound:
         assert seen == [(k, 2)]
 
     def test_proves_the_grid12_k4_cells_empty(self, monkeypatch):
-        """On grid (12, 4) with the default configuration every tried cell
-        has floor-sum 0, and the colouring shows it has no 4-clique."""
+        """On grid (12, 4) the top 8 cells of the partition at r = 12, the
+        default configuration's first round, have floor-sum 0, and the
+        colouring shows that none of them has a 4-clique."""
         seen = spy_colours(monkeypatch)
         arr = grid_construction(12)
-        report = find_complete_tuple(arr, PipelineConfig(k=4, c=measured_density(arr)))
-        assert isinstance(report, NotFoundReport) and len(report.attempts) == 8
+        cfg = PipelineConfig(k=4, c=measured_density(arr))
+        pr = partition(arr.points, 12)
+        memberships = pipeline._memberships(arr, pr)
+        for rep in rank_cells(arr, pr, 4)[:8]:
+            ci = rep.cell_index
+            assert rep.floor_sum == 0
+            cert, _ = pipeline._attempt_cell(arr, pr.cells[ci], memberships[ci], ci, 0, cfg, 12)
+            assert cert is None
         assert [used for _, used in seen] == [3, 2, 3, 3, 3, 3, 3, 3]
 
 

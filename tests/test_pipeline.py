@@ -17,22 +17,24 @@ from incidences import (Arrangement, CompleteTupleCertificate, Line,
                         spanned_lines)
 from incidences import arrangement, pipeline
 from incidences.cli import random_arrangement
+from incidences.roots import ceil_scaled_pow23
 from conftest import (brute_incidences, brute_locality, first_collinear_free_clique,
-                      group_edges, pair_joined)
+                      group_edges, pair_joined, parallel_rows, spanned_lattice)
 
 
 def spy_searches(monkeypatch):
-    """Record each cell search as (cell point indices, groups, first clique)."""
+    """Record each cell search as (cell point indices, its round's r, groups,
+    first clique)."""
     searched, cells = [], []
     real_attempt, real_cliques = pipeline._attempt_cell, pipeline.k_cliques
 
     def attempt(arr, cell, *args):
-        cells.append(cell.point_indices)
+        cells.append((cell.point_indices, args[-1]))
         return real_attempt(arr, cell, *args)
 
     def cliques(n, groups, k):
         first = next(real_cliques(n, groups, k), None)
-        searched.append((cells[-1], groups, first))
+        searched.append((*cells[-1], groups, first))
         return iter(() if first is None else (first,))
     monkeypatch.setattr(pipeline, "_attempt_cell", attempt)
     monkeypatch.setattr(pipeline, "k_cliques", cliques)
@@ -282,7 +284,9 @@ PINNED_SEARCHES = {
     (8, 3): ((0, 130, 258), {(0, 130): 128, (0, 258): 64, (130, 258): 2}),
     (8, 4): ((0, 132, 262, 390), {(0, 132): 256, (0, 262): 192, (0, 390): 128,
                                   (132, 262): 130, (132, 390): 67, (262, 390): 6}),
-    (8, 5): None,
+    (8, 5): ((0, 134, 266, 396, 524), {
+        (0, 134): 384, (0, 266): 320, (0, 396): 256, (0, 524): 192, (134, 266): 258,
+        (134, 396): 195, (134, 524): 132, (266, 396): 134, (266, 524): 72, (396, 524): 12}),
     (10, 3): ((0, 202, 402), {(0, 202): 200, (0, 402): 100, (202, 402): 2}),
     (10, 4): ((0, 204, 406, 606), {(0, 204): 400, (0, 406): 300, (0, 606): 200,
                                    (204, 406): 202, (204, 606): 103, (406, 606): 6}),
@@ -300,6 +304,41 @@ def test_grid_search_results_are_pinned(n, k):
         assert isinstance(result, NotFoundReport)
     else:
         assert (result.point_indices, result.connecting_lines) == PINNED_SEARCHES[n, k]
+
+
+def test_found_rate_on_the_grid_and_lattice_matrices(monkeypatch):
+    """With --c auto's configuration, every grid N = 5..16 at k = 3..6 with
+    N >= 2k - 3 gives a certificate, each from the first cell searched, and
+    the 6 grids with N < 2k - 3 give NotFound; every spanned lattice 5..12 at
+    k = 3..7 gives a certificate.  About 2 s on 2 vCPUs (CPython 3.11)."""
+    searches = []
+    real_attempt = pipeline._attempt_cell
+
+    def attempt(*args):
+        searches.append(args[3])
+        return real_attempt(*args)
+    monkeypatch.setattr(pipeline, "_attempt_cell", attempt)
+    grid_found, first_cell, lattice_missed = set(), set(), []
+    for n in range(5, 17):
+        arr = grid_construction(n)
+        for k in range(3, 7):
+            searches.clear()
+            result = find_complete_tuple(arr, PipelineConfig(k=k, c=measured_density(arr)))
+            if isinstance(result, CompleteTupleCertificate):
+                grid_found.add((n, k))
+                if len(searches) == 1:
+                    first_cell.add((n, k))
+            else:
+                assert isinstance(result, NotFoundReport) and result.attempts
+    for side in range(5, 13):
+        arr = spanned_lattice(side)
+        lattice_missed += [(side, k) for k in range(3, 8) if not isinstance(
+            find_complete_tuple(arr, PipelineConfig(k=k, c=measured_density(arr))),
+            CompleteTupleCertificate)]
+    expected = {(n, k) for n in range(5, 17) for k in range(3, 7) if n >= 2 * k - 3}
+    assert len(expected) == 42
+    assert grid_found == first_cell == expected
+    assert lattice_missed == []
 
 
 def joining(arr, p, q):
@@ -394,21 +433,42 @@ class TestLocalityOracle:
 class TestSearchSharesLibrarySteps:
     """find_complete_tuple ranks and segments cells through the public functions."""
 
-    def test_not_found_attempts_follow_the_ranking(self):
-        arr = grid_construction(12)
-        cfg = PipelineConfig(k=4, c=measured_density(arr))
+    @pytest.mark.parametrize("arr, k, beta_k, end", [
+        (grid_construction(12), 8, None, "one cell"),
+        (parallel_rows(4, 8), 3, 100, "one cell"),
+        (parallel_rows(12, 64), 3, 1000, "cap"),
+    ], ids=["grid12-k8", "rows4x8-k3", "rows12x64-k3"])
+    def test_not_found_attempts_follow_the_ranking(self, arr, k, beta_k, end):
+        """On inputs with no tuple, the rounds r = r0, r0 // 2, ... search
+        each round's top-ranked cell exactly when its floor-sum is positive or
+        it is the round's only cell, until a one-cell round or
+        ``fallback_cells`` searched cells; the report gives the last
+        partition's r and t, not a halved r past it."""
+        cfg = PipelineConfig(k=k, c=measured_density(arr), beta_k=beta_k)
         report = find_complete_tuple(arr, cfg)
         assert isinstance(report, NotFoundReport)
-        pr = partition(arr.points, report.r)
-        ranking = rank_cells(arr, pr, cfg.k)
-        assert [(a.cell_index, a.floor_sum) for a in report.attempts] == \
-            [(rep.cell_index, rep.floor_sum) for rep in ranking[:cfg.fallback_cells]]
-        # Each attempt's floor-sum counts every line: it is the cell's number
-        # of k-point runs, recomputed here from its membership.
-        memberships = pipeline._memberships(arr, pr)
-        for a in report.attempts:
-            by_line = memberships[a.cell_index]
-            assert a.floor_sum == sum(len(members) // cfg.k for members in by_line.values())
+        rounds = [max(1, min(arr.n_points, ceil_scaled_pow23(arr.n_points, cfg.beta_k)))]
+        while rounds[-1] > report.r:
+            rounds.append(rounds[-1] // 2)
+        assert rounds[-1] == report.r
+        expected = []
+        for r in rounds:
+            pr = partition(arr.points, r)
+            top = rank_cells(arr, pr, k)[0]
+            if top.floor_sum > 0 or pr.t == 1:
+                # The floor-sum counts every line: the cell's k-point runs.
+                cell = set(pr.cells[top.cell_index].point_indices)
+                assert top.floor_sum == sum(sum(1 for i in arr.points_on_line(li) if i in cell) // k
+                                            for li in range(arr.n_lines))
+                expected.append((r, top.cell_index, top.floor_sum))
+        assert [(a.r, a.cell_index, a.floor_sum) for a in report.attempts] == expected
+        assert report.t == pr.t and (pr.t == 1) == (end == "one cell")
+        assert 1 <= len(report.attempts) <= cfg.fallback_cells
+        assert (len(report.attempts) == cfg.fallback_cells) == (end == "cap")
+        assert all(a.r > b.r for a, b in zip(report.attempts, report.attempts[1:]))
+        assert all(a.floor_sum > 0 for a in report.attempts[:-1])
+        assert report.attempts[-1].floor_sum > 0 or report.t == 1
+        assert not any(a.certified for a in report.attempts)
 
     def test_lines_with_few_points_count_in_the_ranking(self):
         """Every line counts toward a cell's floor-sum, however few points it
@@ -422,9 +482,9 @@ class TestSearchSharesLibrarySteps:
         audit = inequality_audit(arr, partition(arr.points, report.r), cfg)
         assert audit.floor_sum_total == 13
 
-    def test_each_cell_membership_is_built_once(self, monkeypatch, grid3x3):
-        """One ``_memberships`` call per search: the one ranking and every
-        attempt read its per-cell entries."""
+    def test_each_cell_membership_is_built_once(self, monkeypatch):
+        """One ``_memberships`` call per round: the round's ranking and its
+        searched cell read its per-cell entries."""
         built, rankings, attempted = [], [], []
         real_memberships, real_rank = pipeline._memberships, pipeline._rank
         real_attempt = pipeline._attempt_cell
@@ -437,26 +497,29 @@ class TestSearchSharesLibrarySteps:
             rankings.append(memberships)
             return real_rank(memberships, k)
 
-        def attempt(arr, cell, membership, cell_index, *args):
-            attempted.append((cell_index, membership))
-            return real_attempt(arr, cell, membership, cell_index, *args)
+        def attempt(arr, cell, membership, cell_index, floor_sum, cfg, r):
+            attempted.append((r, cell_index, membership))
+            return real_attempt(arr, cell, membership, cell_index, floor_sum, cfg, r)
         monkeypatch.setattr(pipeline, "_memberships", memberships)
         monkeypatch.setattr(pipeline, "_rank", rank)
         monkeypatch.setattr(pipeline, "_attempt_cell", attempt)
-        cfg = PipelineConfig(k=3, c=1, beta_k=2)
-        report = find_complete_tuple(grid3x3, cfg)
-        # No cell has a tuple, so every cell was attempted.
+        arr = parallel_rows(4, 8)
+        report = find_complete_tuple(arr, PipelineConfig(k=3, c=1, beta_k=100))
+        # Rounds 32 and 16 have top floor-sum 0 and are not searched; no
+        # cell has a tuple, so rounds 8, 4 and the one-cell round 2 are.
         assert isinstance(report, NotFoundReport)
-        assert len(built) == 1
-        pr, result = built[0]
-        assert len(rankings) == 1 and rankings[0] is result
-        assert len(result) == len(report.attempts) == report.t == 5
-        assert all(membership is result[ci] for ci, membership in attempted)
-        assert sorted(ci for ci, _ in attempted) == list(range(report.t))
-        cells = partition(grid3x3.points, report.r).cells
-        assert [cell.point_indices for cell in pr.cells] == [cell.point_indices for cell in cells]
-        for cell, by_line in zip(cells, result):
-            assert set().union(*by_line.values()) == set(cell.point_indices)
+        assert [pr.r_requested for pr, _ in built] == [32, 16, 8, 4, 2]
+        assert len(rankings) == len(built)
+        assert all(ranked is result for ranked, (_, result) in zip(rankings, built))
+        assert [r for r, _, _ in attempted] == [a.r for a in report.attempts] == [8, 4, 2]
+        of_round = {pr.r_requested: result for pr, result in built}
+        assert all(membership is of_round[r][ci] for r, ci, membership in attempted)
+        for pr, result in built:
+            cells = partition(arr.points, pr.r_requested).cells
+            assert [cell.point_indices for cell in pr.cells] == \
+                [cell.point_indices for cell in cells]
+            for cell, by_line in zip(cells, result):
+                assert set().union(*by_line.values()) == set(cell.point_indices)
 
     @pytest.mark.parametrize("arr, k, sheared", [
         (grid_construction(4), 3, False),
@@ -473,12 +536,12 @@ class TestSearchSharesLibrarySteps:
         on a line holding fewer than k cell points."""
         searched = spy_searches(monkeypatch)
         cfg = PipelineConfig(k=k, c=measured_density(arr))
-        result = find_complete_tuple(arr, cfg)
-        pr = partition(arr.points, result.r)
+        find_complete_tuple(arr, cfg)
         shears, on_runs = [], 0
-        for pts, groups, _ in searched:
+        for pts, r, groups, _ in searched:
             edges = group_edges(groups)
             cell_points = set(pts)
+            pr = partition(arr.points, r)
             cell = next(c for c in pr.cells if set(c.point_indices) == cell_points)
             on_cell = {li: sum(1 for i in arr.points_on_line(li) if i in cell_points)
                        for li in range(arr.n_lines)}
@@ -518,11 +581,11 @@ class TestSearchSharesLibrarySteps:
         searched = spy_searches(monkeypatch)
         result = find_complete_tuple(arr, PipelineConfig(k=k, c=measured_density(arr)))
         assert searched
-        for pts, groups, first in searched:
+        for pts, _, groups, first in searched:
             assert first == first_collinear_free_clique([arr.points[i] for i in pts],
                                                         group_edges(groups), k)
         if isinstance(result, CompleteTupleCertificate):
-            pts, _, first = searched[-1]
+            pts, _, _, first = searched[-1]
             assert result.point_indices == tuple(pts[v] for v in first)
 
 
