@@ -7,8 +7,8 @@ certify the result.  For r = r0, r0 // 2, ... (r0 ~ beta * n^(2/3)) it:
   1. partitions the points into balanced cells and takes the top cell by
      floor-sum  sum_lines floor(|cell on line| / k), read off one membership
      per cell (its points on each line, in order along it), built in one pass,
-  2. goes on to the next r unless that floor-sum is positive (some line
-     holds k of the cell's points) or the cell is the partition's only one,
+  2. searches it if its floor-sum is positive, or if no line holds k points
+     and it is no bigger than a first-round cell (<= ceil(2n / r0) points),
   3. breaks each line's cell points into disjoint runs of k consecutive
      points ("segment lines"), which keeps the output local,
   4. searches the cell's joined-pair graph (points joined when they share a
@@ -165,9 +165,9 @@ def _rank(memberships: list[dict[int, list[int]]], k: int) -> list[RichCellRepor
     return reports
 
 
-def _runs(by_line: dict[int, list[int]], k: int) -> dict[int, list[tuple[int, ...]]]:
+def _runs(by_line: dict[int, list[int]], k: int) -> dict[int, list[list[int]]]:
     """line -> its runs of k consecutive cell points, for lines holding >= k of them."""
-    return {li: [tuple(members[g * k:(g + 1) * k]) for g in range(len(members) // k)]
+    return {li: [members[g * k:(g + 1) * k] for g in range(len(members) // k)]
             for li, members in by_line.items() if len(members) >= k}
 
 
@@ -315,10 +315,12 @@ def find_complete_tuple(arr: Arrangement,
         logger.warning("incidence count %d below c * n^(4/3) for c=%s, n=%d; searching anyway",
                        inc, c_text, n)
     r = max(1, min(n, ceil_scaled_pow23(n, cfg.beta_k)))
+    rich = any(len(arr.points_on_line(j)) >= cfg.k for j in range(arr.n_lines))
+    limit = 0 if rich else -(-2 * n // r)   # step 2: the first round's ceil(2n / r0)
     attempts: list[CellAttempt] = []
     while True:
         t, top, cell, membership = _top_cell(arr, r, cfg.k)
-        if top is not None and (top.floor_sum > 0 or t == 1):
+        if top is not None and (top.floor_sum > 0 or len(cell.point_indices) <= limit):
             cert, attempt = _attempt_cell(arr, cell, membership, top.cell_index,
                                           top.floor_sum, cfg, r)
             attempts.append(attempt)
