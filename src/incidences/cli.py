@@ -182,6 +182,21 @@ def _stats_payload(arr: Arrangement) -> dict:
     }
 
 
+def _emit(args, arr: Arrangement, meta: dict, config: dict, body, rows, *extra) -> None:
+    """Write a command's report and each extra (path, text) target, all or none.
+
+    ``--format csv`` writes the lines ``rows()`` yields, header first; JSON
+    writes the envelope {command, config, statistics, **body(), metadata}.
+    Each format calls only its own builder, so neither builds the other's text.
+    """
+    if args.format == "csv":
+        text = "\n".join(rows()) + "\n"
+    else:
+        text = dumps_canonical({"command": args.command, "config": config,
+                                "statistics": _stats_payload(arr), **body(), "metadata": meta})
+    _write_text(*extra, (args.output, text))
+
+
 def cmd_generate(args) -> int:
     if args.kind == "grid":
         if args.n is None or args.n < 1:
@@ -221,28 +236,25 @@ def cmd_analyze(args) -> int:
     except ValueError as exc:
         raise InvalidParamsError(f"bound cannot be written: {exc}") from exc
     monitor = de_caen_szekely_monitor(arr)
+    counterexample = []   # staged with the report, so an exit 2 writes neither
     if not monitor.conjecture_holds:
         path = (args.output or "analyze") + ".counterexample.json"
-        _write_text((path, dumps_canonical({
+        counterexample.append((path, dumps_canonical({
             "kind": "COUNTEREXAMPLE",
             "claim": "triangles <= n_points * n_lines",
             "triangles": monitor.triangles,
             "bound": monitor.bound,
             "document": arrangement_to_document(arr, meta),
         })))
-        logger.warning("triangle bound violated; counterexample written to %s", path)
-    if args.format == "csv":
-        lines = ["m,lines_exactly_m,lines_at_least_m,bound_numerator,bound_denominator,within_bound"]
-        hist = dict(incidence_stats(arr).richness_histogram)
+
+    def csv_rows():
+        yield "m,lines_exactly_m,lines_at_least_m,bound_numerator,bound_denominator,within_bound"
+        hist = incidence_stats(arr).richness_histogram
         for row, bound in zip(rows, bounds):
-            lines.append(f"{row.m},{hist.get(row.m, 0)},{row.rich_count},{bound},"
-                         f"{str(row.within_bound).lower()}")
-        _write_text((args.output, "\n".join(lines) + "\n"))
-        return EXIT_OK
-    report = {
-        "command": "analyze",
-        "config": config_echo,
-        "statistics": _stats_payload(arr),
+            yield (f"{row.m},{hist.get(row.m, 0)},{row.rich_count},{bound},"
+                   f"{str(row.within_bound).lower()}")
+
+    _emit(args, arr, meta, config_echo, lambda: {
         "st_bound_report": [
             {"m": row.m, "rich_count": row.rich_count,
              "bound": rational_to_pair(row.bound_value),
@@ -255,9 +267,9 @@ def cmd_analyze(args) -> int:
             "bound": monitor.bound,
             "conjecture_holds": monitor.conjecture_holds,
         },
-        "metadata": meta,
-    }
-    _write_text((args.output, dumps_canonical(report)))
+    }, csv_rows, *counterexample)
+    if counterexample:
+        logger.warning("triangle bound violated; counterexample written to %s", path)
     return EXIT_OK
 
 
@@ -284,15 +296,7 @@ def cmd_partition(args) -> int:
             # or so large that the 5% margin vanishes in float rounding and
             # the plot has zero width or height.
             raise InvalidParamsError("--svg: coordinates too large to plot") from exc
-    if args.format == "csv":
-        lines = ["line_index,cells_crossed"]
-        lines.extend(f"{j},{c}" for j, c in enumerate(profile.per_line))
-        _write_text(*svg, (args.output, "\n".join(lines) + "\n"))
-        return EXIT_OK
-    report = {
-        "command": "partition",
-        "config": {"r": args.r},
-        "statistics": _stats_payload(arr),
+    _emit(args, arr, meta, {"r": args.r}, lambda: {
         "cells": [
             {"point_indices": list(cell.point_indices), "region": _rect_payload(cell.region)}
             for cell in pr.cells
@@ -304,9 +308,8 @@ def cmd_partition(args) -> int:
             "mean": rational_to_pair(profile.mean_crossing),
             "per_line": list(profile.per_line),
         },
-        "metadata": meta,
-    }
-    _write_text(*svg, (args.output, dumps_canonical(report)))
+    }, lambda: ["line_index,cells_crossed",
+                *(f"{j},{c}" for j, c in enumerate(profile.per_line))], *svg)
     return EXIT_OK
 
 
@@ -350,30 +353,21 @@ def cmd_theorem1(args) -> int:
         _check_config_echo(config_echo)
     result = find_complete_tuple(arr, cfg)
     found = isinstance(result, CompleteTupleCertificate)
-    if found:
-        payload = {"status": "found", "certificate": _certificate_payload(arr, result)}
-    else:
-        payload = {"status": "not_found", "report": asdict(result)}
-    if args.format == "csv":
+
+    def csv_rows():
         if found:
-            lines = ["point_i,point_j,line_index,points_strictly_between"]
+            yield "point_i,point_j,line_index,points_strictly_between"
             for pair, li in sorted(result.connecting_lines.items()):
-                lines.append(f"{pair[0]},{pair[1]},{li},{result.locality[pair]}")
+                yield f"{pair[0]},{pair[1]},{li},{result.locality[pair]}"
         else:
-            lines = ["r,cell_index,floor_sum,pairable_lines,certified"]
+            yield "r,cell_index,floor_sum,pairable_lines,certified"
             for a in result.attempts:
-                lines.append(f"{a.r},{a.cell_index},{a.floor_sum},{a.pairable_lines},"
-                             f"{str(a.certified).lower()}")
-        _write_text((args.output, "\n".join(lines) + "\n"))
-        return EXIT_OK if found else EXIT_NOT_FOUND
-    report = {
-        "command": "theorem1",
-        "config": config_echo,
-        "statistics": _stats_payload(arr),
-        "result": payload,
-        "metadata": meta,
-    }
-    _write_text((args.output, dumps_canonical(report)))
+                yield (f"{a.r},{a.cell_index},{a.floor_sum},{a.pairable_lines},"
+                       f"{str(a.certified).lower()}")
+
+    _emit(args, arr, meta, config_echo, lambda: {"result": (
+        {"status": "found", "certificate": _certificate_payload(arr, result)} if found
+        else {"status": "not_found", "report": asdict(result)})}, csv_rows)
     return EXIT_OK if found else EXIT_NOT_FOUND
 
 

@@ -15,8 +15,8 @@ set, ``json`` runs its pure-Python encoder, so the text is built here instead:
 objects are walked in Python, and a list whose leaves are all numbers, booleans
 or nulls at one depth (a ``points`` or ``lines`` array) is encoded by the C
 encoder in compact form and indented with one ``str.replace`` per nesting
-level.  Reading refuses NaN, the infinities, numbers past the float range
-and nesting past ``MAX_DEPTH`` levels, the same limit on every interpreter.
+level.  Reading refuses NaN, the infinities and numbers past the float range,
+and reading and writing refuse nesting past ``MAX_DEPTH`` levels.
 """
 
 from __future__ import annotations
@@ -29,9 +29,9 @@ from .arrangement import Arrangement
 from .geometry import Line, Point, Rational
 
 SCHEMA_VERSION = "1"
-# The deepest level a document may reach: the root object is level 1, a
-# top-level value level 2, and each list or object inside adds one.  Every
-# interpreter decodes deeper, and the writer's one frame per level leaves
+# The deepest level a document may reach, read or written: the root object is
+# level 1, a top-level value level 2, and each list or object inside adds one.
+# Every interpreter decodes deeper, and the writer's one frame per level leaves
 # half the default recursion limit to its caller.
 MAX_DEPTH = 500
 
@@ -167,11 +167,12 @@ def _indent_numeric_list(text: str, level: int) -> str | None:
     comma is structure, and between two leaves the text closes j lists, has
     one comma and opens j lists, for some j < depth.  Each such separator
     becomes one fixed string, so one ``str.replace`` per depth indents it.
-    ``level`` is the indent level of the line the list opens on.
+    ``level`` is the indent level of the line the list opens on; a list
+    nesting past ``MAX_DEPTH`` has no form here, and ``_write`` refuses it.
     """
-    if '"' in text or "{" in text or "[]" in text:
-        return None
     depth = len(text) - len(text.lstrip("["))
+    if '"' in text or "{" in text or "[]" in text or level + depth > MAX_DEPTH:
+        return None
     # A separator closing a lists and opening b keeps the leaves at one depth
     # only if a == b.  That holds for every separator exactly when, for each
     # j, as many separators close >= j lists as open >= j as do both.
@@ -208,6 +209,8 @@ def _write(value, level: int, try_compact: bool, out: list[str]) -> None:
     no simple indented form its elements go one by one, and no list below it
     is encoded whole again, so no subtree is encoded once per level.
     """
+    if level >= MAX_DEPTH and isinstance(value, (list, tuple, dict)):   # level 0 is level 1 read
+        raise ValueError(f"nested deeper than {MAX_DEPTH} levels")
     if not isinstance(value, (list, tuple, dict)) or not value:
         out.append(_ENCODER.encode(value))
         return
@@ -244,7 +247,7 @@ def dumps_canonical(obj) -> str:
 
     What JSON cannot carry is raised as DocumentError, before any output: an
     integer past Python's int-string limit (it cannot be read either), a NaN
-    or infinite float, and a circular structure or one too deep to recurse into.
+    or infinite float, a circular structure, and nesting past ``MAX_DEPTH`` levels.
     """
     out: list[str] = []
     try:

@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 from incidences import Arrangement, Line, Point, grid_construction, spanned_lines
 from incidences import cli
 from incidences.cli import _write_text, build_parser, main, random_arrangement
+from incidences.cliques import MonitorResult
 from incidences.documents import (DocumentError, arrangement_from_document,
                                   arrangement_to_document, dumps_canonical,
                                   loads_document, pair_to_rational,
@@ -173,6 +174,42 @@ class TestAnalyze:
         bad = tmp_path / "bad.json"
         bad.write_text("{broken")
         assert main(["analyze", "--input", str(bad)]) == 2
+
+    @staticmethod
+    def violated(monkeypatch):
+        """Make the triangle monitor report a violation: one triangle past its bound."""
+        monkeypatch.setattr(cli, "de_caen_szekely_monitor", lambda arr: MonitorResult(
+            arr.n_points * arr.n_lines + 1, arr.n_points * arr.n_lines, False))
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_violation_writes_a_counterexample(self, tmp_path, monkeypatch, caplog, fmt):
+        self.violated(monkeypatch)
+        arr = grid_construction(2)
+        doc = write_doc(tmp_path / "g2.json", arr, {"generator": "grid"})
+        out = tmp_path / "report"
+        assert main(["analyze", "--input", doc, "--format", fmt, "--output", str(out)]) == 0
+        path = tmp_path / "report.counterexample.json"
+        counterexample = json.loads(path.read_text())
+        assert {key: counterexample[key] for key in ("kind", "claim", "triangles", "bound")} == {
+            "kind": "COUNTEREXAMPLE", "claim": "triangles <= n_points * n_lines",
+            "triangles": 129, "bound": 128}
+        back, meta = arrangement_from_document(counterexample["document"])
+        assert (back.points, back.lines, meta) == (arr.points, arr.lines, {"generator": "grid"})
+        assert out.read_text().startswith("{" if fmt == "json" else "m,")
+        assert f"counterexample written to {path}" in caplog.text
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_unwritable_report_writes_no_counterexample(self, tmp_path, monkeypatch, caplog,
+                                                        capsys, fmt):
+        """The counterexample is staged with the report: an exit 2 writes neither."""
+        self.violated(monkeypatch)
+        doc = write_doc(tmp_path / "g2.json", grid_construction(2))
+        (tmp_path / "adir").mkdir()
+        out = tmp_path / "adir"
+        assert main(["analyze", "--input", doc, "--format", fmt, "--output", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: cannot write {out}: Is a directory\n"
+        assert sorted(os.listdir(tmp_path)) == ["adir", "g2.json"]
+        assert os.listdir(out) == [] and "counterexample written" not in caplog.text
 
 
 class TestPartitionCommand:
@@ -520,6 +557,37 @@ class TestArgumentErrors:
         assert (censused == []) == refused_before_the_census
         assert monitored == []
         assert os.listdir(tmp_path) == ["g4.json"]
+
+
+class TestReportFormats:
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("command, code", [
+        (["analyze"], 0), (["partition", "--r", "4"], 0),
+        (["theorem1", "--k", "3", "--c", "auto"], 0), (["theorem1", "--k", "5", "--c", "auto"], 3),
+    ], ids=["analyze", "partition", "theorem1-found", "theorem1-not-found"])
+    def test_each_format_builds_only_its_own_text(self, tmp_path, monkeypatch, fmt, command,
+                                                  code):
+        """A CSV report computes no statistics and no JSON body; a JSON report
+        builds no CSV row."""
+        built = []
+        real_emit, real_stats_payload = cli._emit, cli._stats_payload
+
+        def recorded(name, build):
+            def call():
+                built.append(name)
+                return build()
+            return call
+
+        def emit(args, arr, meta, config, body, rows, *extra):
+            real_emit(args, arr, meta, config, recorded("body", body), recorded("rows", rows),
+                      *extra)
+        monkeypatch.setattr(cli, "_emit", emit)
+        monkeypatch.setattr(cli, "_stats_payload",
+                            lambda arr: built.append("statistics") or real_stats_payload(arr))
+        doc = write_doc(tmp_path / "g3.json", grid_construction(3))
+        argv = [*command, "--input", doc, "--format", fmt, "--output", str(tmp_path / "out")]
+        assert main(argv) == code
+        assert built == (["statistics", "body"] if fmt == "json" else ["rows"])
 
 
 class TestNoGarbage:

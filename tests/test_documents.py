@@ -44,6 +44,19 @@ def uniform_lists(depth):
     return st.lists(uniform_lists(depth - 1), min_size=1, max_size=3)
 
 
+# Nesting shapes, each d lists or objects deep: lists encoded
+# whole, a list with a string leaf and a ragged one (both walked element by
+# element), objects, both mixed, and lists around an empty one.
+NESTED = {
+    "lists": lambda d: "[" * d + "1" + "]" * d,
+    "string-leaf": lambda d: "[" * d + '"s"' + "]" * d,
+    "ragged": lambda d: "[1," * d + "2" + "]" * d,
+    "objects": lambda d: '{"a":' * d + "null" + "}" * d,
+    "mixed": lambda d: "[" * (d % 2) + '[{"a":' * (d // 2) + "1" + "}]" * (d // 2) + "]" * (d % 2),
+    "empty-list": lambda d: "[" * d + "]" * d,
+}
+
+
 class TestCanonicalWriter:
     @given(json_value)
     @settings(max_examples=500, deadline=None)
@@ -122,6 +135,18 @@ class TestCanonicalWriter:
         for value in (in_list, in_object, [in_list]):
             with pytest.raises(DocumentError, match="unwritable"):
                 dumps_canonical(value)
+
+    @pytest.mark.parametrize("shape", ["lists", "string-leaf", "objects", "empty-list"])
+    def test_level_500_is_written_and_501_refused(self, shape):
+        """The writer counts levels as the reader does, the root as level 1:
+        in ``{"m": value}`` a value d deep reaches level d + 1.  The limit is
+        the same on every interpreter, for a list encoded whole too."""
+        def value(d):
+            return json.loads('{"m": ' + NESTED[shape](d) + "}")
+        assert first_difference(dumps_canonical(value(499)), reference_dumps(value(499))) is None
+        with pytest.raises(DocumentError,
+                           match="^unwritable JSON: nested deeper than 500 levels$"):
+            dumps_canonical(value(500))
 
     def test_nesting_past_the_recursion_limit_is_a_document_error(self):
         deep = "s"
@@ -240,18 +265,6 @@ class TestReader:
             doc = loads_document(dumps_canonical(arrangement_to_document(arr, {"n": n})))
             assert _reading(arrangement_from_document, doc) == \
                 _reading(reference_arrangement_from_document, doc)
-
-
-# Nesting shapes for metadata, each d lists or objects deep: lists encoded
-# whole, a list with a string leaf and a ragged one (both walked element by
-# element), objects, and both mixed.
-NESTED = {
-    "lists": lambda d: "[" * d + "1" + "]" * d,
-    "string-leaf": lambda d: "[" * d + '"s"' + "]" * d,
-    "ragged": lambda d: "[1," * d + "2" + "]" * d,
-    "objects": lambda d: '{"a":' * d + "null" + "}" * d,
-    "mixed": lambda d: "[" * (d % 2) + '[{"a":' * (d // 2) + "1" + "}]" * (d // 2) + "]" * (d % 2),
-}
 
 
 class TestDeepMetadata:
