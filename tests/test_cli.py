@@ -175,15 +175,14 @@ class TestAnalyze:
         bad.write_text("{broken")
         assert main(["analyze", "--input", str(bad)]) == 2
 
-    @staticmethod
-    def violated(monkeypatch):
-        """Make the triangle monitor report a violation: one triangle past its bound."""
+    @pytest.fixture
+    def violated(self, monkeypatch):
+        """The triangle monitor reports a violation: one triangle past its bound."""
         monkeypatch.setattr(cli, "de_caen_szekely_monitor", lambda arr: MonitorResult(
             arr.n_points * arr.n_lines + 1, arr.n_points * arr.n_lines, False))
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
-    def test_violation_writes_a_counterexample(self, tmp_path, monkeypatch, caplog, fmt):
-        self.violated(monkeypatch)
+    def test_violation_writes_a_counterexample(self, tmp_path, violated, caplog, fmt):
         arr = grid_construction(2)
         doc = write_doc(tmp_path / "g2.json", arr, {"generator": "grid"})
         out = tmp_path / "report"
@@ -199,13 +198,12 @@ class TestAnalyze:
         assert f"counterexample written to {path}" in caplog.text
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
-    def test_unwritable_report_writes_no_counterexample(self, tmp_path, monkeypatch, caplog,
+    def test_unwritable_report_writes_no_counterexample(self, tmp_path, violated, caplog,
                                                         capsys, fmt):
         """The counterexample is staged with the report: an exit 2 writes neither."""
-        self.violated(monkeypatch)
         doc = write_doc(tmp_path / "g2.json", grid_construction(2))
-        (tmp_path / "adir").mkdir()
         out = tmp_path / "adir"
+        out.mkdir()
         assert main(["analyze", "--input", doc, "--format", fmt, "--output", str(out)]) == 2
         assert capsys.readouterr().err == f"error: cannot write {out}: Is a directory\n"
         assert sorted(os.listdir(tmp_path)) == ["adir", "g2.json"]

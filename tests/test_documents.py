@@ -44,9 +44,9 @@ def uniform_lists(depth):
     return st.lists(uniform_lists(depth - 1), min_size=1, max_size=3)
 
 
-# Nesting shapes, each d lists or objects deep: lists encoded
-# whole, a list with a string leaf and a ragged one (both walked element by
-# element), objects, both mixed, and lists around an empty one.
+# Nesting shapes, each d lists or objects deep: lists encoded whole, a list
+# with a string leaf and a ragged one (both walked element by element),
+# objects, both mixed, and lists around an empty one.
 NESTED = {
     "lists": lambda d: "[" * d + "1" + "]" * d,
     "string-leaf": lambda d: "[" * d + '"s"' + "]" * d,
