@@ -17,12 +17,7 @@ point, or a run of points on a line.  ``k_cliques`` takes those groups as they
 are and indexes them once, by vertex, while it orders the vertices; the edges
 at a vertex are read from that index only when the search reaches it.  It
 never takes two edges at a vertex that share a label: they close a degenerate
-triple.  Before it ranks any vertex, it colours the graph greedily and stops
-at once when fewer than k colours suffice (the colour bound of Tomita & Seki,
-DMTCS 2003): a proper colouring gives the vertices of a clique pairwise
-distinct colours, so such a graph has no k-clique.  Most cells the
-``theorem1`` search tries without success are proved empty this
-way.  ``count_triangles`` enumerates no triple at all: it counts the
+triple.  ``count_triangles`` enumerates no triple at all: it counts the
 joined-pair graph's triangles and subtracts the collinear ones, which the
 arrangement's lines count exactly.
 """
@@ -142,30 +137,6 @@ def _degeneracy_order(n: int, groups: Groups) -> tuple[list[int], list[Groups]]:
     return order, holding
 
 
-def _greedy_colours(order: Sequence[int], holding: Sequence[Groups], k: int) -> int:
-    """Colours used by a greedy colouring in reverse ``order``, counted up to k.
-
-    Each vertex takes the least colour that none of its later neighbours
-    has.  Its earlier neighbours are still uncoloured (-1), so the colours in
-    its groups (``holding[v]``) are its later neighbours' and no rank is
-    needed.  Every edge joins a vertex to a later one, so the colouring is
-    proper.  Counting stops at k colours, which prove nothing about a k-clique.
-    """
-    colour = [-1] * len(order)
-    used = 0
-    for v in reversed(order):
-        taken = {colour[w] for _, members in holding[v] for w in members}
-        c = 0
-        while c in taken:
-            c += 1
-        colour[v] = c
-        if c == used:
-            used += 1
-            if used == k:
-                break
-    return used
-
-
 def k_cliques(n: int, groups: Groups, k: int) -> Iterator[tuple[int, ...]]:
     """Every general-position k-clique on vertices 0..n-1, as sorted tuples.
 
@@ -198,18 +169,8 @@ def k_cliques(n: int, groups: Groups, k: int) -> Iterator[tuple[int, ...]]:
     top-level vertex's later neighbours): two further members with one label
     to v would be degenerate with v.  Both prunes remove only prefixes whose
     every extension is degenerate, so the other cliques keep their order.
-
-    Nothing is enumerated when ``_greedy_colours`` uses fewer than k colours
-    (Tomita & Seki, DMTCS 2003).  The bound is exact: the vertices of a clique
-    are pairwise adjacent, so a proper colouring needs at least as many
-    colours as the largest clique has vertices.  It is checked once, before
-    the search and before any rank exists, not at every node: it either
-    proves the whole graph free of k-cliques or changes nothing, so the
-    output and its order never depend on it.
     """
     order, holding = _degeneracy_order(n, groups)
-    if _greedy_colours(order, holding, k) < k:
-        return
     rank = [0] * n
     for p, v in enumerate(order):
         rank[v] = p

@@ -153,8 +153,8 @@ def arrangement_from_document(doc) -> tuple[Arrangement, dict]:
 
 # The C encoder runs only without ``indent``.  Compact separators put no
 # space into its text, so indenting only has to add newlines and padding.
-# Its own circular-reference check would halve its speed: a cycle recurses
-# into a RecursionError instead, in ``_write`` or in a list encoded whole.
+# Its own circular-reference check would halve its speed: a cycle nests
+# instead, until ``_write`` refuses it past ``MAX_DEPTH`` levels.
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False,
                             check_circular=False)
 
@@ -222,7 +222,10 @@ def _write(value, level: int, try_compact: bool, out: list[str]) -> None:
         items = ((_ENCODER.encode(key) + ": ", child) for key, child in items)
     else:
         if try_compact and not isinstance(value[0], (str, dict)):
-            indented = _indent_numeric_list(_ENCODER.encode(value), level)
+            try:
+                indented = _indent_numeric_list(_ENCODER.encode(value), level)
+            except RecursionError:   # too deep for the C encoder: walk it
+                indented = None
             if indented is not None:
                 out.append(indented)
                 return

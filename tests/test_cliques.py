@@ -8,7 +8,7 @@ from itertools import combinations
 import pytest
 
 from incidences import (Arrangement, CompleteTuple, Line, NotFoundReport, PipelineConfig,
-                        Point, build_graph, cliques, collinear, count_triangles,
+                        Point, build_graph, collinear, count_triangles,
                         de_caen_szekely_monitor, degenerate_filter, dualize,
                         enumerate_complete_tuples, find_complete_tuple,
                         generic_shear_value, grid_construction, intersection,
@@ -169,23 +169,12 @@ def run_graph(rng, n, k, tries):
     return groups
 
 
-def spy_colours(monkeypatch):
-    """Record every ``_greedy_colours`` result as (k, colours used)."""
-    seen = []
-    real = cliques._greedy_colours
-
-    def spy(order, holding, k):
-        used = real(order, holding, k)
-        seen.append((k, used))
-        return used
-    monkeypatch.setattr(cliques, "_greedy_colours", spy)
-    return seen
-
-
 GROETZSCH = (
     [(i, (i + 1) % 5) for i in range(5)]                              # outer 5-cycle
     + [(5 + i, (i + s) % 5) for i in range(5) for s in (1, 4)]        # v_i ~ u_(i-1), u_(i+1)
     + [(10, 5 + i) for i in range(5)])                                # hub ~ every v_i
+# K_4,4 less a perfect matching, a_i = 2i and b_i = 2i + 1.
+CROWN = [(2 * i, 2 * j + 1) for i in range(4) for j in range(4) if i != j]
 
 
 class TestKCliques:
@@ -201,22 +190,73 @@ class TestKCliques:
         edges = random_edges(rng, n, rng.choice((0.5, 0.7, 0.9)), isolated)
         assert list(k_cliques(n, edge_groups(edges), k)) == brute_k_cliques(n, edges, k)
 
-    def test_group_labels_prune_exactly_the_triples_inside_one_group(self):
+    def test_sparse_random_graphs(self):
+        """At p = 0.1..0.3 most graphs have no k-clique, some have a few."""
+        rng = random.Random(10)
+        found = 0
+        for _ in range(60):
+            n = rng.randint(0, 25)
+            k = rng.randint(3, 5)
+            edges = random_edges(rng, n, rng.choice((0.1, 0.2, 0.3)))
+            brute = brute_k_cliques(n, edges, k)
+            assert list(k_cliques(n, edge_groups(edges), k)) == brute
+            found += bool(brute)
+        assert 5 < found < 55   # both outcomes are exercised
+
+    @pytest.mark.parametrize("seed", [11, 12])
+    def test_group_labels_prune_exactly_the_triples_inside_one_group(self, seed):
         """Labelled by group, a union of edge-disjoint cliques yields every
-        clique with no three vertices inside one group, in brute-force order."""
-        rng = random.Random(12)
+        clique with no three vertices inside one group, in brute-force order;
+        given as its edges, each labelled alone, it yields every clique."""
+        rng = random.Random(seed)
         pruned = kept = 0
         for _ in range(80):
             n = rng.randint(6, 24)
             k = rng.randint(3, 5)
             groups = run_graph(rng, n, k, rng.randint(1, 3 * n))
-            brute = brute_k_cliques(n, group_edges(groups), k)
+            edges = group_edges(groups)
+            brute = brute_k_cliques(n, edges, k)
+            assert list(k_cliques(n, edge_groups(edges), k)) == brute
             expected = [c for c in brute if not any(set(t) <= group for group, _ in groups
                                                     for t in combinations(c, 3))]
             assert list(k_cliques(n, groups, k)) == expected
             pruned += len(brute) - len(expected)
             kept += len(expected)
         assert pruned > 20 and kept > 20   # both outcomes are exercised
+
+    @pytest.mark.parametrize("n, edges, k", [
+        (5, [(i, (i + 1) % 5) for i in range(5)], 3),
+        (11, GROETZSCH, 3),
+        (11, GROETZSCH, 4),
+        (8, CROWN, 3),
+        (8, CROWN, 4),
+    ], ids=["C5-k3", "groetzsch-k3", "groetzsch-k4", "crown-k3", "crown-k4"])
+    def test_triangle_free_graphs_have_no_clique(self, n, edges, k):
+        """An odd cycle, the Groetzsch graph and the crown graph have no
+        triangle, though the first two are not bipartite."""
+        assert list(k_cliques(n, edge_groups(edges), k)) == []
+
+    @pytest.mark.parametrize("k", [3, 4, 5, 6])
+    @pytest.mark.parametrize("pendants", [0, 1, 4])
+    def test_k_clique_with_pendants_is_the_only_clique(self, k, pendants):
+        """K_k, with or without pendant vertices hung on its vertices."""
+        edges = [*combinations(range(k), 2), *((i % k, k + i) for i in range(pendants))]
+        assert list(k_cliques(k + pendants, edge_groups(edges), k)) == [tuple(range(k))]
+
+    def test_grid12_k4_floor_sum_0_cells_hold_no_tuple(self):
+        """On grid (12, 4) the top 8 cells of the partition at r = 12, the
+        default configuration's first round, have floor-sum 0, and none of
+        them holds 4 points in general position.  The search skips such
+        cells of an arrangement where some line holds k points."""
+        arr = grid_construction(12)
+        cfg = PipelineConfig(k=4, c=measured_density(arr))
+        pr = partition(arr.points, 12)
+        memberships = pipeline._memberships(arr, pr)
+        for rep in rank_cells(arr, pr, 4)[:8]:
+            ci = rep.cell_index
+            assert rep.floor_sum == 0
+            cert, _ = pipeline._attempt_cell(arr, pr.cells[ci], memberships[ci], ci, 0, cfg, 12)
+            assert cert is None
 
     def test_one_label_class_has_no_clique(self):
         """Forty vertices pairwise joined with one label are 40 points on one
@@ -246,85 +286,6 @@ class TestKCliques:
             assert gc.collect() == 0
         finally:
             gc.enable()
-
-
-class TestColourBound:
-    """``k_cliques`` returns before enumerating when a greedy colouring uses
-    fewer than k colours; its output must not change either way."""
-
-    def test_sparse_random_graphs(self, monkeypatch):
-        seen = spy_colours(monkeypatch)
-        rng = random.Random(10)
-        for _ in range(60):
-            n = rng.randint(0, 25)
-            k = rng.randint(3, 5)
-            edges = random_edges(rng, n, rng.choice((0.1, 0.2, 0.3)))
-            assert list(k_cliques(n, edge_groups(edges), k)) == brute_k_cliques(n, edges, k)
-        fired = sum(used < k for k, used in seen)
-        assert len(seen) == 60 and 10 < fired < 50   # both paths are exercised
-
-    def test_unions_of_edge_disjoint_cliques(self, monkeypatch):
-        seen = spy_colours(monkeypatch)
-        rng = random.Random(11)
-        for _ in range(60):
-            n = rng.randint(6, 24)
-            k = rng.randint(3, 5)
-            groups = run_graph(rng, n, k, rng.randint(1, 3 * n))
-            edges = group_edges(groups)
-            assert list(k_cliques(n, edge_groups(edges), k)) == brute_k_cliques(n, edges, k)
-            list(k_cliques(n, groups, k))
-        # The same graph and ranks colour alike from its groups or its edges.
-        assert seen[0::2] == seen[1::2]
-        fired = sum(used < k for k, used in seen[0::2])
-        assert len(seen) == 120 and 5 < fired < 55
-
-    @pytest.mark.parametrize("n, edges, k", [
-        (5, [(i, (i + 1) % 5) for i in range(5)], 3),
-        (11, GROETZSCH, 3),
-        (11, GROETZSCH, 4),
-    ], ids=["C5-k3", "groetzsch-k3", "groetzsch-k4"])
-    def test_enough_colours_but_no_clique(self, monkeypatch, n, edges, k):
-        """An odd cycle needs 3 colours and the Groetzsch graph 4, yet neither
-        has a triangle: the bound cannot fire and the search finds nothing."""
-        seen = spy_colours(monkeypatch)
-        assert list(k_cliques(n, edge_groups(edges), k)) == []
-        assert seen == [(k, k)]
-
-    @pytest.mark.parametrize("k", [3, 4, 5, 6])
-    @pytest.mark.parametrize("pendants", [0, 1, 4])
-    def test_colours_equal_to_k_keep_the_clique(self, monkeypatch, k, pendants):
-        """K_k needs exactly k colours, so the bound must not fire on it, with
-        or without pendant vertices hung on its vertices."""
-        seen = spy_colours(monkeypatch)
-        edges = [*combinations(range(k), 2), *((i % k, k + i) for i in range(pendants))]
-        assert list(k_cliques(k + pendants, edge_groups(edges), k)) == [tuple(range(k))]
-        assert seen == [(k, k)]
-
-    @pytest.mark.parametrize("k", [3, 4])
-    def test_colours_in_reverse_degeneracy_order(self, monkeypatch, k):
-        """The crown graph (K_4,4 less a perfect matching), labelled so that
-        a_i = 2i and b_i = 2i + 1, is bipartite; a greedy colouring by vertex
-        index uses 4 colours on it, one in reverse degeneracy order 2."""
-        seen = spy_colours(monkeypatch)
-        edges = [(2 * i, 2 * j + 1) for i in range(4) for j in range(4) if i != j]
-        assert list(k_cliques(8, edge_groups(edges), k)) == []
-        assert seen == [(k, 2)]
-
-    def test_proves_the_grid12_k4_cells_empty(self, monkeypatch):
-        """On grid (12, 4) the top 8 cells of the partition at r = 12, the
-        default configuration's first round, have floor-sum 0, and the
-        colouring shows that none of them has a 4-clique."""
-        seen = spy_colours(monkeypatch)
-        arr = grid_construction(12)
-        cfg = PipelineConfig(k=4, c=measured_density(arr))
-        pr = partition(arr.points, 12)
-        memberships = pipeline._memberships(arr, pr)
-        for rep in rank_cells(arr, pr, 4)[:8]:
-            ci = rep.cell_index
-            assert rep.floor_sum == 0
-            cert, _ = pipeline._attempt_cell(arr, pr.cells[ci], memberships[ci], ci, 0, cfg, 12)
-            assert cert is None
-        assert [used for _, used in seen] == [3, 2, 3, 3, 3, 3, 3, 3]
 
 
 class TestDegeneracyOrder:

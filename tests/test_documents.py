@@ -148,12 +148,17 @@ class TestCanonicalWriter:
                            match="^unwritable JSON: nested deeper than 500 levels$"):
             dumps_canonical(value(500))
 
-    def test_nesting_past_the_recursion_limit_is_a_document_error(self):
-        deep = "s"
-        for _ in range(5000):
+    @pytest.mark.parametrize("depth", [1200, 5000, 20000])
+    @pytest.mark.parametrize("shape", ["bare", "in-object", "string-leaf"])
+    def test_nesting_past_the_recursion_limit_is_a_document_error(self, shape, depth):
+        """Past the C encoder's recursion limit, which differs between
+        interpreters, a list is refused with the same message as at level 501."""
+        deep = "s" if shape == "string-leaf" else 1
+        for _ in range(depth):
             deep = [deep]
-        with pytest.raises(DocumentError, match="unwritable"):
-            dumps_canonical(deep)
+        with pytest.raises(DocumentError,
+                           match="^unwritable JSON: nested deeper than 500 levels$"):
+            dumps_canonical({"m": deep} if shape == "in-object" else deep)
 
 
 # Entries off the writer's form that the reader accepts (on grid 2, the last

@@ -312,20 +312,32 @@ def test_found_rate_on_the_grid_and_lattice_matrices(monkeypatch):
     the 6 grids with N < 2k - 3 give NotFound; every spanned lattice 5..12 at
     k = 3..7 gives a certificate but lattices 5 and 6 at k = 7, where no line
     holds k points and only a cell larger than the first round's holds a
-    tuple.  About 2 s on 2 vCPUs (CPython 3.11)."""
-    searches = []
+    tuple.  Where some line holds k points, every searched cell has a
+    positive floor-sum, so a line holds k of its points: a k-clique of its
+    graph, which no colouring bound can rule out.  About 2 s on 2 vCPUs
+    (CPython 3.11)."""
+    searches, floor_sums = [], []
     real_attempt = pipeline._attempt_cell
 
     def attempt(*args):
         searches.append(args[3])
+        floor_sums.append(args[4])
         return real_attempt(*args)
     monkeypatch.setattr(pipeline, "_attempt_cell", attempt)
-    grid_found, first_cell, lattice_missed = set(), set(), []
+
+    def rich(arr, k):
+        return any(len(arr.points_on_line(j)) >= k for j in range(arr.n_lines))
+    grid_found, first_cell, lattice_missed, poor = set(), set(), [], []
     for n in range(5, 17):
         arr = grid_construction(n)
         for k in range(3, 7):
             searches.clear()
+            floor_sums.clear()
             result = find_complete_tuple(arr, PipelineConfig(k=k, c=measured_density(arr)))
+            if rich(arr, k):
+                assert min(floor_sums) > 0
+            else:
+                poor.append(("grid", n, k))
             if isinstance(result, CompleteTupleCertificate):
                 grid_found.add((n, k))
                 if len(searches) == 1:
@@ -334,13 +346,20 @@ def test_found_rate_on_the_grid_and_lattice_matrices(monkeypatch):
                 assert isinstance(result, NotFoundReport) and result.attempts
     for side in range(5, 13):
         arr = spanned_lattice(side)
-        lattice_missed += [(side, k) for k in range(3, 8) if not isinstance(
-            find_complete_tuple(arr, PipelineConfig(k=k, c=measured_density(arr))),
-            CompleteTupleCertificate)]
+        for k in range(3, 8):
+            floor_sums.clear()
+            if not isinstance(find_complete_tuple(arr, PipelineConfig(k=k, c=measured_density(arr))),
+                              CompleteTupleCertificate):
+                lattice_missed.append((side, k))
+            if rich(arr, k):
+                assert min(floor_sums) > 0
+            else:
+                poor.append(("lattice", side, k))
     expected = {(n, k) for n in range(5, 17) for k in range(3, 7) if n >= 2 * k - 3}
     assert len(expected) == 42
     assert grid_found == first_cell == expected
     assert lattice_missed == [(5, 7), (6, 7)]
+    assert poor == [("grid", 5, 6), ("lattice", 5, 6), ("lattice", 5, 7), ("lattice", 6, 7)]
 
 
 def joining(arr, p, q):
