@@ -98,12 +98,12 @@ def _nests_too_deep(value, level: int) -> bool:
 def arrangement_from_document(doc) -> tuple[Arrangement, dict]:
     """The arrangement and metadata of a decoded document, in one pass per list.
 
-    Each entry first gets a shape test for the form the writer emits: a point
-    ``[[x, 1], [y, 1]]`` and a canonical line ``[a, b, c]`` (gcd 1, first
-    nonzero of a, b positive), all with exact ``int`` leaves.  Such an entry
-    builds its ``Point`` or ``Line`` directly.  Every other entry (a
-    fraction, a tuple, a bool or an ``int`` subclass, a reducible pair, a
-    line that needs canonicalizing, a malformed shape) takes the per-entry
+    Each entry first gets a shape test for the form the writer emits, with
+    exact ``int`` leaves: a point ``[[x, 1], [y, 1]]`` builds its ``Point``
+    directly, and a line ``[a, b, c]`` goes to ``Line``, whose own check
+    accepts it if it is canonical.  Every other entry (a fraction, a tuple,
+    a bool or an ``int`` subclass, a reducible pair, a line that needs
+    canonicalizing or cannot be one, a malformed shape) takes the per-entry
     checks of ``_point_entry`` and ``_line_entry``, whose messages are the
     ``DocumentError`` messages.  Both routes give equal objects.  Every
     top-level value but ``points`` and ``lines`` may reach level ``MAX_DEPTH``.
@@ -134,10 +134,12 @@ def arrangement_from_document(doc) -> tuple[Arrangement, dict]:
     for j, entry in enumerate(raw_lines):
         if type(entry) is list and len(entry) == 3:
             a, b, c = entry
-            if (type(a) is int and type(b) is int and type(c) is int
-                    and math.gcd(a, b, c) == 1 and (a > 0 or a == 0 and b > 0)):
-                lines.append(Line(a, b, c))
-                continue
+            if type(a) is int and type(b) is int and type(c) is int:
+                try:
+                    lines.append(Line(a, b, c))
+                    continue
+                except ValueError:   # not canonical: ``_line_entry`` decides
+                    pass
         lines.append(_line_entry(entry, j))
     try:
         arr = Arrangement(points, lines)

@@ -27,7 +27,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, groupby
 from typing import Mapping
 
 from .arrangement import Arrangement
@@ -137,8 +137,8 @@ def _memberships(arr: Arrangement, pr: PartitionResult) -> list[dict[int, list[i
             cell_of[pi] = ci
     out: list[dict[int, list[int]]] = [{} for _ in pr.cells]
     for li in range(arr.n_lines):
-        for pi in arr.points_on_line(li):
-            out[cell_of[pi]].setdefault(li, []).append(pi)
+        for ci, run in groupby(arr.points_on_line(li), cell_of.__getitem__):
+            out[ci].setdefault(li, []).extend(run)
     return out
 
 
@@ -163,12 +163,6 @@ def _rank(memberships: list[dict[int, list[int]]], k: int) -> list[RichCellRepor
     total = sum(rep.floor_sum for rep in reports)
     assert not reports or reports[0].floor_sum * len(reports) >= total, "pigeonhole violated"
     return reports
-
-
-def _runs(by_line: dict[int, list[int]], k: int) -> dict[int, list[list[int]]]:
-    """line -> its runs of k consecutive cell points, for lines holding >= k of them."""
-    return {li: [members[g * k:(g + 1) * k] for g in range(len(members) // k)]
-            for li, members in by_line.items() if len(members) >= k}
 
 
 def locality_counts(arr: Arrangement,
@@ -253,19 +247,18 @@ def _attempt_cell(arr: Arrangement, cell: PartitionCell, membership: dict[int, l
     clique of ``k_cliques``, which the line labels keep free of collinear
     triples, wins: this is the dual search for lines that pass
     ``degenerate_filter``, done in the primal.  Its connecting lines are read
-    off the groups.
+    off the groups that meet it.
     """
-    # line -> its cell points (>= 2 of them), ordered along the line.
-    by_line = {li: members for li, members in membership.items() if len(members) >= 2}
-    runs_on = _runs(by_line, cfg.k)
-    sub_point_idx = cell.point_indices
+    k, sub_point_idx = cfg.k, cell.point_indices
     vertex = {pi: i for i, pi in enumerate(sub_point_idx)}
-    groups = [(li, [vertex[pi] for pi in run])
-              for li, members in by_line.items() for run in runs_on.get(li, [members])]
-    del runs_on, vertex   # only the groups are kept through the search
+    groups = []
+    for li, members in membership.items():
+        if len(members) >= 2:
+            runs = [members[g:g + k] for g in range(0, len(members) - k + 1, k)] or [members]
+            groups += [(li, [vertex[pi] for pi in run]) for run in runs]
 
-    clique = next(k_cliques(len(sub_point_idx), groups, cfg.k), None)
-    attempt = CellAttempt(r, cell_index, floor_sum, len(by_line),
+    clique = next(k_cliques(len(sub_point_idx), groups, k), None)
+    attempt = CellAttempt(r, cell_index, floor_sum, len({li for li, _ in groups}),
                           sum(len(run) * (len(run) - 1) // 2 for _, run in groups),
                           clique is not None)
     if clique is None:
@@ -274,8 +267,9 @@ def _attempt_cell(arr: Arrangement, cell: PartitionCell, membership: dict[int, l
     # Each pair of the clique lies in exactly one group, which names its line.
     in_clique = set(clique)
     connecting = {(sub_point_idx[u], sub_point_idx[v]): li for li, run in groups
+                  if not in_clique.isdisjoint(run)
                   for u, v in combinations(sorted(in_clique.intersection(run)), 2)}
-    cert = CompleteTupleCertificate(cfg.k, point_indices, connecting,
+    cert = CompleteTupleCertificate(k, point_indices, connecting,
                                     locality_counts(arr, connecting), cell_index, r)
     revalidate_certificate(arr, cert)
     return cert, attempt

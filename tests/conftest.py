@@ -174,6 +174,14 @@ def group_edges(groups) -> dict:
     return edges
 
 
+def k_point_runs(by_line: dict, k: int) -> dict:
+    """line -> its disjoint runs of k consecutive points, for each line
+    holding >= k points; ``by_line`` lists each line's points in order along
+    it, and a remainder of fewer than k points is dropped."""
+    return {li: [members[g * k:(g + 1) * k] for g in range(len(members) // k)]
+            for li, members in by_line.items() if len(members) >= k}
+
+
 def first_collinear_free_clique(points: list[Point], edges, k: int) -> tuple[int, ...] | None:
     """The first k-clique in ``k_cliques`` order whose points have no
     collinear triple, found by filtering after the search.  Every edge gets

@@ -5,6 +5,7 @@ import copy
 import gc
 import hashlib
 import json
+import logging
 import math
 import os
 import random
@@ -236,6 +237,21 @@ class TestPartitionCommand:
                      "--output", str(tmp_path / "p.json"), "--svg", str(svg)]) == 0
         assert svg.read_text().startswith("<svg")
 
+    def test_svg_draws_a_vertical_line_at_its_x(self, tmp_path):
+        """x = 1 lies mid-plot between the points at x = 0 and x = 2, so it
+        runs from the bottom to the top of the picture at x = 320; y = 0 runs
+        across it."""
+        doc = write_doc(tmp_path / "v.json", Arrangement(
+            [Point(0, 0), Point(1, 1), Point(2, 0)], [Line(0, 1, 0), Line(1, 0, -1)]))
+        svg = tmp_path / "cells.svg"
+        assert main(["partition", "--input", doc, "--r", "1",
+                     "--output", str(tmp_path / "p.json"), "--svg", str(svg)]) == 0
+        drawn = re.findall(r'<line x1="([^"]+)" y1="([^"]+)" x2="([^"]+)" y2="([^"]+)"',
+                           svg.read_text())
+        horizontal, vertical = drawn
+        assert horizontal[1] == horizontal[3]
+        assert vertical == ("320.00", "640.00", "320.00", "0.00")
+
     @pytest.mark.parametrize("points, lines", [
         ([Point(10**400, 0), Point(10**400, 1)], []),
         ([Point(Fraction(10**400, 3), 0), Point(Fraction(10**400, 3), 1)], []),
@@ -453,6 +469,41 @@ class TestArgumentErrors:
         assert capsys.readouterr().err.startswith(error)
         assert os.listdir(tmp_path) == ["in.json"]   # no report, no temp file
 
+    def test_internal_error_exits_1(self, tmp_path, capsys, caplog, monkeypatch):
+        """An exception that is no refusal of the input is logged with its
+        traceback, to the root logger's handlers (pytest's here, so nothing
+        reaches stderr), and exits 1."""
+        def broken(args):
+            raise RuntimeError("broken command")
+        monkeypatch.setattr(cli, "cmd_generate", broken)
+        out = tmp_path / "out.json"
+        assert main(["generate", "--kind", "grid", "--n", "2", "--output", str(out)]) == 1
+        assert capsys.readouterr() == ("", "")
+        assert caplog.record_tuples == [("incidences.cli", logging.ERROR, "internal error")]
+        assert caplog.records[0].exc_info[0] is RuntimeError
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("argv, error", [
+        (["generate", "--kind", "random", "--seed", "1", "--n-points", "1", "--n-lines", "1"],
+         "random generator needs n_points >= 2, n_lines >= 1, bound >= 1"),
+        (["generate", "--kind", "spanned"], "spanned requires --input with the source points"),
+        (["generate", "--kind", "random", "--seed", "1"],
+         "random requires --seed, --n-points, --n-lines"),
+        (["analyze", "--input", "DOC", "--st-constant", "0"], "--st-constant must be positive"),
+        (["theorem1", "--input", "DOC", "--k", "3", "--c", "auto"],
+         "cannot infer a positive density from this arrangement"),
+    ], ids=["random-one-point", "spanned-without-input", "random-without-sizes",
+            "zero-st-constant", "auto-density-without-incidences"])
+    def test_refused_parameters_exit_2(self, tmp_path, capsys, argv, error):
+        """The document has one line through none of its points."""
+        doc = write_doc(tmp_path / "doc.json",
+                        Arrangement([Point(0, 0), Point(1, 1)], [Line(0, 1, -5)]))
+        out = tmp_path / "out"
+        assert main([doc if arg == "DOC" else arg for arg in argv]
+                    + ["--output", str(out)]) == 2
+        assert capsys.readouterr() == ("", f"error: {error}\n")
+        assert os.listdir(tmp_path) == ["doc.json"]
+
     @pytest.mark.parametrize("level", ["foo", "5", "warnin"])
     def test_unknown_log_level_exits_2(self, capsys, monkeypatch, level):
         monkeypatch.setenv("INCIDENCES_LOG", level)
@@ -586,6 +637,29 @@ class TestReportFormats:
         argv = [*command, "--input", doc, "--format", fmt, "--output", str(tmp_path / "out")]
         assert main(argv) == code
         assert built == (["statistics", "body"] if fmt == "json" else ["rows"])
+
+    @pytest.mark.parametrize("command, code", [
+        (["generate", "--kind", "grid", "--n", "3"], 0),
+        *((["analyze", "--input", "DOC", "--format", fmt], 0) for fmt in ("json", "csv")),
+        *((["partition", "--input", "DOC", "--r", "4", "--format", fmt], 0)
+          for fmt in ("json", "csv")),
+        *((["theorem1", "--input", "DOC", "--k", k, "--c", "auto", "--format", fmt], code)
+          for k, code in (("3", 0), ("5", 3)) for fmt in ("json", "csv")),
+    ], ids=["generate", "analyze-json", "analyze-csv", "partition-json", "partition-csv",
+            "theorem1-found-json", "theorem1-found-csv", "theorem1-not-found-json",
+            "theorem1-not-found-csv"])
+    def test_stdout_gets_the_bytes_of_the_output_file(self, tmp_path, capsys, command, code):
+        """Without ``--output`` a command prints exactly what it writes with it."""
+        doc = write_doc(tmp_path / "g3.json", grid_construction(3))
+        argv = [doc if arg == "DOC" else arg for arg in command]
+        assert main(argv) == code
+        printed = capsys.readouterr()
+        assert printed.err == "" and printed.out
+        assert os.listdir(tmp_path) == ["g3.json"]
+        out = tmp_path / "out"
+        assert main([*argv, "--output", str(out)]) == code
+        assert capsys.readouterr() == ("", "")
+        assert out.read_bytes() == printed.out.encode("utf-8")
 
 
 class TestNoGarbage:

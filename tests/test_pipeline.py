@@ -2,13 +2,14 @@
 
 import logging
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
 import pytest
 
-from incidences import (Arrangement, CompleteTupleCertificate, Line,
+from incidences import (Arrangement, CertificateError, CompleteTupleCertificate, Line,
                         NotFoundReport, PipelineConfig, Point, build_graph,
                         collinear, dualize, find_complete_tuple,
                         generic_shear_value, grid_construction, incident,
@@ -19,7 +20,8 @@ from incidences import arrangement, pipeline
 from incidences.cli import random_arrangement
 from incidences.roots import ceil_scaled_pow23
 from conftest import (brute_incidences, brute_locality, first_collinear_free_clique,
-                      group_edges, pair_joined, parallel_rows, spanned_lattice)
+                      group_edges, k_point_runs, pair_joined, parallel_rows,
+                      spanned_lattice)
 
 
 def spy_searches(monkeypatch):
@@ -109,19 +111,20 @@ class TestSelectRichCell:
 class TestBreakIntoSegments:
     """The k-point runs of one cell, as ``_attempt_cell`` builds them."""
 
-    def _runs(self, arr, k, monkeypatch):
-        made = []
-        real = pipeline._runs
-
-        def spy(by_line, k):
-            made.append(real(by_line, k))
-            return made[-1]
-        monkeypatch.setattr(pipeline, "_runs", spy)
+    def runs(self, arr, k, monkeypatch):
+        """line -> its k-point runs as point indices, read off the groups
+        ``k_cliques`` receives; a line holding fewer than k cell points gives
+        one shorter group, which is not a run."""
+        searched = spy_searches(monkeypatch)
         pr = partition(arr.points, 1)
         pipeline._attempt_cell(arr, pr.cells[0], pipeline._memberships(arr, pr)[0], 0, 0,
                                PipelineConfig(k=k, c=1), 1)
-        assert len(made) == 1
-        return made[0]
+        ((pts, _, groups, _),) = searched
+        runs = {}
+        for li, run in groups:
+            if len(run) == k:
+                runs.setdefault(li, []).append([pts[v] for v in run])
+        return runs
 
     def test_memberships_are_each_cells_lines(self):
         """Each cell's lines, ascending, and their cell points, in (x, y) order."""
@@ -161,7 +164,7 @@ class TestBreakIntoSegments:
     def test_exactly_k_points_one_segment(self, monkeypatch):
         pts = [Point(x, 0) for x in range(3)]
         arr = Arrangement(pts, [Line(0, 1, 0)])
-        runs = self._runs(arr, 3, monkeypatch)
+        runs = self.runs(arr, 3, monkeypatch)
         assert runs == {0: [[0, 1, 2]]}
         run = runs[0][0]
         assert (arr.points[run[0]], arr.points[run[-1]]) == (Point(0, 0), Point(2, 0))
@@ -169,19 +172,19 @@ class TestBreakIntoSegments:
     def test_seven_points_two_segments_remainder_dropped(self, monkeypatch):
         pts = [Point(x, 2 * x) for x in range(7)]
         arr = Arrangement(pts, [Line(2, -1, 0)])
-        runs = self._runs(arr, 3, monkeypatch)[0]
+        runs = self.runs(arr, 3, monkeypatch)[0]
         assert runs == [[0, 1, 2], [3, 4, 5]]
         assert not set(runs[0]) & set(runs[1])
 
     def test_too_few_points_no_segment(self, monkeypatch):
         pts = [Point(0, 0), Point(1, 0)]
         arr = Arrangement(pts, [Line(0, 1, 0)])
-        assert self._runs(arr, 3, monkeypatch) == {}
+        assert self.runs(arr, 3, monkeypatch) == {}
 
     def test_segments_ordered_along_line(self, monkeypatch):
         pts = [Point(x, 0) for x in (5, 1, 3, 0, 2, 4)]
         arr = Arrangement(pts, [Line(0, 1, 0)])
-        xs = [[arr.points[i].x for i in run] for run in self._runs(arr, 3, monkeypatch)[0]]
+        xs = [[arr.points[i].x for i in run] for run in self.runs(arr, 3, monkeypatch)[0]]
         assert xs == [[0, 1, 2], [3, 4, 5]]
 
 
@@ -577,7 +580,7 @@ class TestSearchSharesLibrarySteps:
             ref = build_graph(ref_dual, range(ref_dual.n_points))
             along = {li: sorted(on, key=lambda i: (arr.points[i].x, arr.points[i].y))
                      for li, on in pipeline._memberships(arr, pr)[pr.cells.index(cell)].items()}
-            runs_on = pipeline._runs(along, k)
+            runs_on = k_point_runs(along, k)
             run_of = {(li, i): (li, n) for li, runs in runs_on.items()
                       for n, run in enumerate(runs) for i in run}
             expected = {(u, v): lines[w] for (u, v), w in ref.edges.items()
@@ -618,7 +621,6 @@ class TestRevalidation:
     def test_tampered_certificate_rejected(self):
         arr = grid_construction(3)
         cert = find_complete_tuple(arr, PipelineConfig(k=3, c=Fraction(1, 2)))
-        from incidences import CertificateError
         bad = CompleteTupleCertificate(cert.k, cert.point_indices,
                                        dict(cert.connecting_lines),
                                        {p: v + 1 for p, v in cert.locality.items()},
@@ -634,7 +636,6 @@ class TestRevalidation:
         bad_line = next(li for li in range(arr.n_lines)
                         if not incident(arr.points[pair[0]], arr.lines[li]))
         connecting[pair] = bad_line
-        from incidences import CertificateError
         bad = CompleteTupleCertificate(cert.k, cert.point_indices, connecting,
                                        dict(cert.locality), cert.cell_index, cert.r)
         with pytest.raises(CertificateError):
@@ -655,12 +656,60 @@ class TestRevalidation:
             locality[min(i, j), max(i, j)] = between
         points = tuple(sorted({i for pair in connecting for i in pair}))
         revalidate_certificate(arr, CompleteTupleCertificate(3, points, connecting, locality, 0, 1))
-        from incidences import CertificateError
         for pair in list(locality)[:2]:   # the vertical pair, then the fractional one
             for wrong in (0, 2):
                 bad = CompleteTupleCertificate(3, points, connecting, {**locality, pair: wrong}, 0, 1)
                 with pytest.raises(CertificateError, match="locality of"):
                     revalidate_certificate(arr, bad)
+
+    @staticmethod
+    def refusal(arr, cert) -> str:
+        with pytest.raises(CertificateError) as info:
+            revalidate_certificate(arr, cert)
+        return str(info.value)
+
+    def test_each_refusal_of_a_tampered_grid_certificate(self):
+        arr = grid_construction(3)
+        cert = find_complete_tuple(arr, PipelineConfig(k=3, c=Fraction(1, 2)))
+        revalidate_certificate(arr, cert)
+        i, j, m = cert.point_indices
+        first = next(iter(cert.connecting_lines))
+        assert self.refusal(arr, replace(cert, point_indices=(i, j))) == \
+            "point indices not k distinct values"
+        assert self.refusal(arr, replace(cert, point_indices=(i, j, i))) == \
+            "point indices not k distinct values"
+        assert self.refusal(arr, replace(cert, point_indices=(i, j, arr.n_points))) == \
+            "point index out of range"
+        assert self.refusal(arr, replace(cert, point_indices=(i, j, -1))) == \
+            "point index out of range"
+        fewer = {pair: li for pair, li in cert.connecting_lines.items() if pair != first}
+        assert self.refusal(arr, replace(cert, connecting_lines=fewer)) == \
+            "connecting lines do not cover exactly all pairs"
+        for li in (arr.n_lines, -1):
+            off = {**cert.connecting_lines, first: li}
+            assert self.refusal(arr, replace(cert, connecting_lines=off)) == \
+                "line index out of range"
+        fewer = {pair: n for pair, n in cert.locality.items() if pair != first}
+        assert self.refusal(arr, replace(cert, locality=fewer)) == \
+            "locality map does not cover exactly all pairs"
+
+    def test_collinear_points_refused(self):
+        arr = Arrangement([Point(x, 0) for x in range(3)], [Line(0, 1, 0)])
+        pairs = [(0, 1), (0, 2), (1, 2)]
+        cert = CompleteTupleCertificate(3, (0, 1, 2), dict.fromkeys(pairs, 0),
+                                        {(0, 1): 0, (0, 2): 1, (1, 2): 0}, 0, 1)
+        assert self.refusal(arr, cert) == "three certificate points are collinear"
+
+    def test_true_locality_of_k_refused(self):
+        """Three points strictly inside the segment of a pair, reported as
+        they are: right, yet not below k = 3."""
+        a, b, c = Point(0, 0), Point(4, 0), Point(0, 1)
+        arr = Arrangement([a, b, c, *(Point(x, 0) for x in (1, 2, 3))],
+                          [Line(0, 1, 0), Line(1, 0, 0), Line(1, 4, -4)])
+        cert = CompleteTupleCertificate(3, (0, 1, 2), {(0, 1): 0, (0, 2): 1, (1, 2): 2},
+                                        {(0, 1): 3, (0, 2): 0, (1, 2): 0}, 0, 1)
+        assert locality_counts(arr, cert.connecting_lines) == cert.locality
+        assert self.refusal(arr, cert) == "locality of (0, 1) not below k"
 
 
 class TestInequalityAudit:
