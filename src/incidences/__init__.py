@@ -17,8 +17,8 @@ from .partition import (CrossingProfile, DegenerateInputError, PartitionCell,
                         crossing_profile, line_crosses_rect, partition)
 from .pipeline import (CellAttempt, CertificateError, CompleteTupleCertificate,
                        InequalityAudit, NotFoundReport, PipelineConfig,
-                       RichCellReport, find_complete_tuple, inequality_audit,
-                       locality_counts, rank_cells, revalidate_certificate)
+                       find_complete_tuple, inequality_audit, locality_counts,
+                       revalidate_certificate)
 
 __version__ = "0.1.0"
 

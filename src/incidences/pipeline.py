@@ -4,9 +4,10 @@ Given an arrangement with many incidences, find k arrangement points in
 general position such that every pair is joined by an arrangement line, and
 certify the result.  For r = r0, r0 // 2, ... (r0 ~ beta * n^(2/3)) it:
 
-  1. partitions the points into balanced cells and takes the top cell by
-     floor-sum  sum_lines floor(|cell on line| / k), read off one membership
-     per cell (its points on each line, in order along it), built in one pass,
+  1. partitions the points into balanced cells and takes, by ``max``, the
+     cell of largest floor-sum  sum_lines floor(|cell on line| / k), the
+     lowest-indexed on ties, read off one membership per cell (its points on
+     each line, in order along it), built in one pass,
   2. searches it if its floor-sum is positive, or if no line holds k points
      and it is no bigger than a first-round cell (<= ceil(2n / r0) points),
   3. breaks each line's cell points into disjoint runs of k consecutive
@@ -33,8 +34,8 @@ from typing import Mapping
 from .arrangement import Arrangement
 from .cliques import k_cliques
 from .geometry import as_rational, collinear, incident, strictly_between
-from .partition import PartitionCell, PartitionResult, partition
-from .roots import ceil_scaled_pow23, pow43_bounds, sqrt_bounds
+from .partition import PartitionCell, PartitionResult, crossing_profile, partition
+from .roots import ceil_scaled_pow23
 
 logger = logging.getLogger(__name__)
 
@@ -69,12 +70,6 @@ class PipelineConfig:
             object.__setattr__(self, "beta_k", Fraction(as_rational(self.beta_k)))
         if self.beta_k <= 0:
             raise ValueError("beta_k must be positive")
-
-
-@dataclass(frozen=True)
-class RichCellReport:
-    cell_index: int
-    floor_sum: int
 
 
 @dataclass(frozen=True)
@@ -142,27 +137,14 @@ def _memberships(arr: Arrangement, pr: PartitionResult) -> list[dict[int, list[i
     return out
 
 
-def rank_cells(arr: Arrangement, pr: PartitionResult, k: int) -> list[RichCellReport]:
-    """Every cell by decreasing floor-sum, ties to the lowest index.
-
-    A cell's floor-sum is  sum_lines floor(|cell points on line| / k)  over
-    every line, so the floor-sums of all cells add up to the total that
-    ``inequality_audit`` checks.  The top cell's floor-sum is at least the
-    average over all cells; this pigeonhole fact is asserted exactly.
-    """
-    return _rank(_memberships(arr, pr), k)
+def _floor_sum(by_line: dict[int, list[int]], k: int) -> int:
+    """A cell's floor-sum from its membership: each line's k-point runs."""
+    return sum(len(members) // k for members in by_line.values())
 
 
-def _rank(memberships: list[dict[int, list[int]]], k: int) -> list[RichCellReport]:
-    """``rank_cells`` over ``_memberships``: each cell's lines and points, in cell order."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    reports = [RichCellReport(ci, sum(len(members) // k for members in by_line.values()))
-               for ci, by_line in enumerate(memberships)]
-    reports.sort(key=lambda rep: -rep.floor_sum)
-    total = sum(rep.floor_sum for rep in reports)
-    assert not reports or reports[0].floor_sum * len(reports) >= total, "pigeonhole violated"
-    return reports
+def _dense(inc: int, n: int, c: Fraction) -> bool:
+    """The density hypothesis  I >= c * n^(4/3), decided exactly as I^3 >= c^3 * n^4."""
+    return Fraction(inc)**3 >= c**3 * Fraction(n)**4
 
 
 def locality_counts(arr: Arrangement,
@@ -276,14 +258,16 @@ def _attempt_cell(arr: Arrangement, cell: PartitionCell, membership: dict[int, l
 
 
 def _top_cell(arr: Arrangement, r: int, k: int
-              ) -> tuple[int, RichCellReport | None, PartitionCell | None, dict[int, list[int]]]:
-    """Round r's cell count and top cell: report, cell, membership; the rest is freed."""
+              ) -> tuple[int, int, int, PartitionCell | None, dict[int, list[int]]]:
+    """Round r's cell count and top cell: the lowest index among the largest
+    floor-sums, that floor-sum, the cell and its membership; the rest is freed."""
     pr = partition(arr.points, r)
     memberships = _memberships(arr, pr)
-    top = next(iter(_rank(memberships, k)), None)
-    if top is None:   # no points, no cells
-        return pr.t, None, None, {}
-    return pr.t, top, pr.cells[top.cell_index], memberships[top.cell_index]
+    if not memberships:   # no points, no cells
+        return pr.t, 0, 0, None, {}
+    floor_sums = [_floor_sum(by_line, k) for by_line in memberships]
+    ci = floor_sums.index(max(floor_sums))
+    return pr.t, ci, floor_sums[ci], pr.cells[ci], memberships[ci]
 
 
 def find_complete_tuple(arr: Arrangement,
@@ -299,7 +283,7 @@ def find_complete_tuple(arr: Arrangement,
     locality bound) is out of reach, so NotFound does not prove there is none.
     """
     n, inc = arr.n_points, arr.n_incidences
-    density_ok = Fraction(inc)**3 >= cfg.c**3 * Fraction(n)**4
+    density_ok = _dense(inc, n, cfg.c)
     if not density_ok:
         try:
             c_text = str(cfg.c)
@@ -313,10 +297,9 @@ def find_complete_tuple(arr: Arrangement,
     limit = 0 if rich else -(-2 * n // r)   # step 2: the first round's ceil(2n / r0)
     attempts: list[CellAttempt] = []
     while True:
-        t, top, cell, membership = _top_cell(arr, r, cfg.k)
-        if top is not None and (top.floor_sum > 0 or len(cell.point_indices) <= limit):
-            cert, attempt = _attempt_cell(arr, cell, membership, top.cell_index,
-                                          top.floor_sum, cfg, r)
+        t, ci, floor_sum, cell, membership = _top_cell(arr, r, cfg.k)
+        if cell is not None and (floor_sum > 0 or len(cell.point_indices) <= limit):
+            cert, attempt = _attempt_cell(arr, cell, membership, ci, floor_sum, cfg, r)
             attempts.append(attempt)
             if cert is not None:
                 return cert
@@ -327,12 +310,19 @@ def find_complete_tuple(arr: Arrangement,
 
 @dataclass(frozen=True)
 class InequalityAudit:
-    """Exact two-sided evaluation of the floor-sum incidence inequality.
+    """The paper's counting step at one partition, as a chain of exact links.
 
-    The claim audited is  (c/k) * n^(4/3) <= floor_sum_total + |L| * sqrt(r).
-    Both irrational quantities are bracketed by exact rationals, and the
-    status is only "holds" / "fails" when the brackets decide it; rounding can
-    therefore never report a false verdict in either direction.
+    1. density: I >= c * n^(4/3), decided as ``find_complete_tuple`` decides it;
+    2. occupancy: ``occupancy`` counts the (cell, line) pairs that share a
+       point, and floor(m / k) >= (m - k + 1) / k for m >= 1, so  k *
+       floor_sum_total >= I - (k - 1) * occupancy;  asserted;
+    3. crossing: a line meets the region of each cell it holds points of, so
+       ``occupancy`` is at most the lines' crossing numbers added up; asserted;
+    4. the paper's assumption that a line crosses O(sqrt(r)) cells:
+       ``max_crossing`` is reported, with no verdict.
+
+    ``status`` names the first link that gives no positive floor-sum:
+    "density", then "occupancy" (I <= (k - 1) * occupancy), else "positive".
     """
 
     n_points: int
@@ -340,28 +330,26 @@ class InequalityAudit:
     k: int
     c: Fraction
     r: int
+    n_incidences: int
+    occupancy: int
     floor_sum_total: int
-    lhs_lower: Fraction
-    lhs_upper: Fraction
-    error_term_lower: Fraction
-    error_term_upper: Fraction
-    status: str  # "holds" | "fails" | "indeterminate"
+    max_crossing: int
+    status: str  # "density" | "occupancy" | "positive"
 
 
 def inequality_audit(arr: Arrangement, pr: PartitionResult, cfg: PipelineConfig) -> InequalityAudit:
-    floor_sum_total = sum(rep.floor_sum for rep in rank_cells(arr, pr, cfg.k))
-    r = pr.r_requested
-    p43_lo, p43_hi = pow43_bounds(arr.n_points)
-    lhs_lo = cfg.c / cfg.k * p43_lo
-    lhs_hi = cfg.c / cfg.k * p43_hi
-    sq_lo, sq_hi = sqrt_bounds(r)
-    err_lo = arr.n_lines * sq_lo
-    err_hi = arr.n_lines * sq_hi
-    if lhs_hi <= floor_sum_total + err_lo:
-        status = "holds"
-    elif lhs_lo > floor_sum_total + err_hi:
-        status = "fails"
+    k, inc = cfg.k, arr.n_incidences
+    memberships = _memberships(arr, pr)
+    occupancy = sum(map(len, memberships))
+    floor_sum_total = sum(_floor_sum(by_line, k) for by_line in memberships)
+    crossings = crossing_profile(pr, arr.lines)
+    assert k * floor_sum_total >= inc - (k - 1) * occupancy, "floor-sum identity violated"
+    assert occupancy <= sum(crossings.per_line), "a line misses a cell it holds points of"
+    if not _dense(inc, arr.n_points, cfg.c):
+        status = "density"
+    elif inc <= (k - 1) * occupancy:
+        status = "occupancy"
     else:
-        status = "indeterminate"
-    return InequalityAudit(arr.n_points, arr.n_lines, cfg.k, cfg.c, r,
-                           floor_sum_total, lhs_lo, lhs_hi, err_lo, err_hi, status)
+        status = "positive"
+    return InequalityAudit(arr.n_points, arr.n_lines, k, cfg.c, pr.r_requested, inc,
+                           occupancy, floor_sum_total, crossings.max_crossing, status)

@@ -1,14 +1,13 @@
-"""Exact integer root helpers for the fractional-power quantities.
+"""Exact integer cube roots for the fractional powers n^(2/3) and n^(4/3).
 
-Expressions like n^(4/3) and sqrt(r) are irrational in general, so they are
-never stored as values; comparisons against them are done through integer
-cubes/squares, and reporting uses rational bounds in steps of 1/RATIONAL_SCALE.
+These are irrational in general, so they are never stored as values:
+comparisons against them go through integer cubes, and ``measured_density``
+reports its constant in steps of 1/RATIONAL_SCALE.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
 
 RATIONAL_SCALE = 10**6
 
@@ -47,23 +46,3 @@ def ceil_scaled_pow23(n: int, beta: Fraction) -> int:
     # Minimal R with (R*q)^3 >= p^3 * n^2, i.e. R^3 >= ceil(target / q^3).
     return icbrt_ceil(-(-target // q**3))
 
-
-def sqrt_bounds(n: int) -> tuple[Fraction, Fraction]:
-    """Rational (lower, upper) bounds for sqrt(n)."""
-    if n < 0:
-        raise ValueError("sqrt of negative value")
-    s = isqrt(n * RATIONAL_SCALE**2)
-    lower = Fraction(s, RATIONAL_SCALE)
-    upper = lower if s * s == n * RATIONAL_SCALE**2 else Fraction(s + 1, RATIONAL_SCALE)
-    return lower, upper
-
-
-def pow43_bounds(n: int) -> tuple[Fraction, Fraction]:
-    """Rational (lower, upper) bounds for n^(4/3) = cbrt(n^4)."""
-    if n < 0:
-        raise ValueError("negative base")
-    target = n**4 * RATIONAL_SCALE**3
-    t = icbrt(target)
-    lower = Fraction(t, RATIONAL_SCALE)
-    upper = lower if t**3 == target else Fraction(t + 1, RATIONAL_SCALE)
-    return lower, upper

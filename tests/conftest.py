@@ -182,6 +182,19 @@ def k_point_runs(by_line: dict, k: int) -> dict:
             for li, members in by_line.items() if len(members) >= k}
 
 
+def ranked_cells(arr: Arrangement, pr, k: int) -> list[tuple[int, int]]:
+    """Every cell of the partition ``pr`` as (cell index, floor-sum), by
+    decreasing floor-sum, ties to the lowest index.  A floor-sum is
+    sum_lines floor(|cell points on line| / k) over every line, recounted
+    from ``points_on_line`` and the cell's point set."""
+    sums = []
+    for ci, cell in enumerate(pr.cells):
+        members = set(cell.point_indices)
+        sums.append((ci, sum(sum(1 for i in arr.points_on_line(li) if i in members) // k
+                             for li in range(arr.n_lines))))
+    return sorted(sums, key=lambda cs: (-cs[1], cs[0]))
+
+
 def first_collinear_free_clique(points: list[Point], edges, k: int) -> tuple[int, ...] | None:
     """The first k-clique in ``k_cliques`` order whose points have no
     collinear triple, found by filtering after the search.  Every edge gets

@@ -13,12 +13,12 @@ from incidences import (Arrangement, CompleteTuple, Line, NotFoundReport, Pipeli
                         enumerate_complete_tuples, find_complete_tuple,
                         generic_shear_value, grid_construction, intersection,
                         measured_density, multiplicity_filter, partition, pipeline,
-                        point_multiplicities, rank_cells, shear, spanned_lines)
+                        point_multiplicities, shear, spanned_lines)
 from incidences.cli import random_arrangement
 from incidences.cliques import _degeneracy_order, k_cliques
 from conftest import (brute_complete_line_tuples, brute_degeneracy_order,
                       brute_triangles, edge_groups, group_edges,
-                      random_nonvertical_arrangement)
+                      random_nonvertical_arrangement, ranked_cells)
 
 
 def crossing_arrangement(lines):
@@ -252,9 +252,8 @@ class TestKCliques:
         cfg = PipelineConfig(k=4, c=measured_density(arr))
         pr = partition(arr.points, 12)
         memberships = pipeline._memberships(arr, pr)
-        for rep in rank_cells(arr, pr, 4)[:8]:
-            ci = rep.cell_index
-            assert rep.floor_sum == 0
+        for ci, floor_sum in ranked_cells(arr, pr, 4)[:8]:
+            assert floor_sum == 0
             cert, _ = pipeline._attempt_cell(arr, pr.cells[ci], memberships[ci], ci, 0, cfg, 12)
             assert cert is None
 

@@ -2,6 +2,7 @@
 
 import logging
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
@@ -9,19 +10,19 @@ from math import gcd
 
 import pytest
 
-from incidences import (Arrangement, CertificateError, CompleteTupleCertificate, Line,
-                        NotFoundReport, PipelineConfig, Point, build_graph,
-                        collinear, dualize, find_complete_tuple,
+from incidences import (Arrangement, CertificateError, CompleteTupleCertificate,
+                        InequalityAudit, Line, NotFoundReport, PipelineConfig, Point,
+                        build_graph, collinear, dualize, find_complete_tuple,
                         generic_shear_value, grid_construction, incident,
-                        inequality_audit, locality_counts, measured_density,
-                        partition, rank_cells, revalidate_certificate, shear,
+                        inequality_audit, line_crosses_rect, locality_counts,
+                        measured_density, partition, revalidate_certificate, shear,
                         spanned_lines)
 from incidences import arrangement, pipeline
 from incidences.cli import random_arrangement
 from incidences.roots import ceil_scaled_pow23
 from conftest import (brute_incidences, brute_locality, first_collinear_free_clique,
                       group_edges, k_point_runs, pair_joined, parallel_rows,
-                      spanned_lattice)
+                      ranked_cells, spanned_lattice)
 
 
 def spy_searches(monkeypatch):
@@ -61,14 +62,21 @@ class TestPipelineConfig:
 
 
 class TestSelectRichCell:
-    """The rich cell the search tries first is the head of ``rank_cells``."""
+    """The cell the search tries first, ``_top_cell``'s, is the head of the
+    oracle ranking ``ranked_cells``."""
+
+    def top(self, arr, r, k):
+        """``_top_cell``'s (cell index, floor-sum), checked against the rest it returns."""
+        t, ci, floor_sum, cell, by_line = pipeline._top_cell(arr, r, k)
+        pr = partition(arr.points, r)
+        assert t == pr.t and cell == pr.cells[ci]
+        assert by_line == pipeline._memberships(arr, pr)[ci]
+        return ci, floor_sum
 
     def test_single_cell_floor_sum(self, grid3x3):
         pr = partition(grid3x3.points, 1)
-        report = rank_cells(grid3x3, pr, 3)[0]
-        assert report.cell_index == 0
         # 8 lines carry 3 points, 12 lines carry 2: floor sum = 8.
-        assert report.floor_sum == 8
+        assert self.top(grid3x3, 1, 3) == ranked_cells(grid3x3, pr, 3)[0] == (0, 8)
         by_line = pipeline._memberships(grid3x3, pr)[0]
         assert sum(len(members) for members in by_line.values()) == grid3x3.n_incidences
 
@@ -77,35 +85,41 @@ class TestSelectRichCell:
         far_pts = [Point(100 + x, 50 + (x * x) % 7) for x in range(9)]
         arr = Arrangement(rich_pts + far_pts, [Line(0, 1, 0)])
         pr = partition(arr.points, 4)
-        report = rank_cells(arr, pr, 3)[0]
-        assert report.floor_sum >= 3
-        cell = pr.cells[report.cell_index]
-        assert set(cell.point_indices) >= set(range(5))  # the rich run sits here
+        ci, floor_sum = self.top(arr, 4, 3)
+        assert (ci, floor_sum) == ranked_cells(arr, pr, 3)[0]
+        assert floor_sum >= 3
+        assert set(pr.cells[ci].point_indices) >= set(range(5))  # the rich run sits here
 
     def test_grid2_exhaustive_counts(self):
         arr = grid_construction(2)
         pr = partition(arr.points, 4)
-        report = rank_cells(arr, pr, 3)[0]
-        cell = set(pr.cells[report.cell_index].point_indices)
-        by_line = pipeline._memberships(arr, pr)[report.cell_index]
+        ci, floor_sum = self.top(arr, 4, 3)
+        assert (ci, floor_sum) == ranked_cells(arr, pr, 3)[0]
+        cell = set(pr.cells[ci].point_indices)
+        by_line = pipeline._memberships(arr, pr)[ci]
         for li, members in by_line.items():
             assert len(members) == sum(1 for i in arr.points_on_line(li) if i in cell)
-        assert report.floor_sum == sum(len(members) // 3 for members in by_line.values())
+        assert floor_sum == sum(len(members) // 3 for members in by_line.values())
 
     def test_ranks_every_cell_by_floor_sum_then_index(self):
+        """Every cell's floor-sum, read off its membership, is the oracle's,
+        and the top cell is the oracle's head, which is not cell 0."""
         rng = random.Random(1)
         arr = spanned_lines(sorted({(rng.randint(0, 6), rng.randint(0, 6)) for _ in range(30)}))
         pr = partition(arr.points, 6)
-        ranking = rank_cells(arr, pr, 3)
-        assert sorted(rep.cell_index for rep in ranking) == list(range(pr.t))
-        assert [rep.cell_index for rep in ranking] != list(range(pr.t))
-        keys = [(-rep.floor_sum, rep.cell_index) for rep in ranking]
-        assert keys == sorted(keys)
-        for rep in ranking:
-            cell = set(pr.cells[rep.cell_index].point_indices)
-            assert rep.floor_sum == sum(
-                sum(1 for i in arr.points_on_line(li) if i in cell) // 3
-                for li in range(arr.n_lines))
+        ranking = ranked_cells(arr, pr, 3)
+        assert [ci for ci, _ in ranking] != list(range(pr.t))
+        assert [pipeline._floor_sum(by_line, 3) for by_line in pipeline._memberships(arr, pr)] \
+            == [floor_sum for _, floor_sum in sorted(ranking)]
+        assert self.top(arr, 6, 3) == ranking[0]
+
+    def test_ties_go_to_the_lowest_index(self):
+        """On the 5x5 lattice at r = 9, cells 1, 3 and 4 tie for the top
+        floor-sum 2 and cell 0 has 1: the search takes cell 1."""
+        arr = spanned_lattice(5)
+        ranking = ranked_cells(arr, partition(arr.points, 9), 3)
+        assert ranking[:4] == [(1, 2), (3, 2), (4, 2), (0, 1)]
+        assert self.top(arr, 9, 3) == ranking[0]
 
 
 class TestBreakIntoSegments:
@@ -483,13 +497,9 @@ class TestSearchSharesLibrarySteps:
         expected = []
         for r in rounds:
             pr = partition(arr.points, r)
-            top = rank_cells(arr, pr, k)[0]
-            cell = set(pr.cells[top.cell_index].point_indices)
-            if top.floor_sum > 0 or (poor and len(cell) <= limit):
-                # The floor-sum counts every line: the cell's k-point runs.
-                assert top.floor_sum == sum(sum(1 for i in arr.points_on_line(li) if i in cell) // k
-                                            for li in range(arr.n_lines))
-                expected.append((r, top.cell_index, top.floor_sum))
+            ci, floor_sum = ranked_cells(arr, pr, k)[0]
+            if floor_sum > 0 or (poor and len(pr.cells[ci].point_indices) <= limit):
+                expected.append((r, ci, floor_sum))
         assert [(a.r, a.cell_index, a.floor_sum) for a in report.attempts] == expected
         assert report.t == pr.t and (pr.t == 1) == (end == "one cell")
         assert 1 <= len(report.attempts) <= cfg.fallback_cells
@@ -511,25 +521,19 @@ class TestSearchSharesLibrarySteps:
         assert audit.floor_sum_total == 13
 
     def test_each_cell_membership_is_built_once(self, monkeypatch):
-        """One ``_memberships`` call per round: the round's ranking and its
-        searched cell read its per-cell entries."""
-        built, rankings, attempted = [], [], []
-        real_memberships, real_rank = pipeline._memberships, pipeline._rank
-        real_attempt = pipeline._attempt_cell
+        """One ``_memberships`` call per round: the round's top cell and its
+        search read its per-cell entries."""
+        built, attempted = [], []
+        real_memberships, real_attempt = pipeline._memberships, pipeline._attempt_cell
 
         def memberships(arr, pr):
             built.append((pr, real_memberships(arr, pr)))
             return built[-1][1]
 
-        def rank(memberships, k):
-            rankings.append(memberships)
-            return real_rank(memberships, k)
-
         def attempt(arr, cell, membership, cell_index, floor_sum, cfg, r):
             attempted.append((r, cell_index, membership))
             return real_attempt(arr, cell, membership, cell_index, floor_sum, cfg, r)
         monkeypatch.setattr(pipeline, "_memberships", memberships)
-        monkeypatch.setattr(pipeline, "_rank", rank)
         monkeypatch.setattr(pipeline, "_attempt_cell", attempt)
         arr = parallel_rows(4, 8)
         report = find_complete_tuple(arr, PipelineConfig(k=3, c=1, beta_k=100))
@@ -537,8 +541,6 @@ class TestSearchSharesLibrarySteps:
         # cell has a tuple, so rounds 8, 4 and the one-cell round 2 are.
         assert isinstance(report, NotFoundReport)
         assert [pr.r_requested for pr, _ in built] == [32, 16, 8, 4, 2]
-        assert len(rankings) == len(built)
-        assert all(ranked is result for ranked, (_, result) in zip(rankings, built))
         assert [r for r, _, _ in attempted] == [a.r for a in report.attempts] == [8, 4, 2]
         of_round = {pr.r_requested: result for pr, result in built}
         assert all(membership is of_round[r][ci] for r, ci, membership in attempted)
@@ -713,29 +715,60 @@ class TestRevalidation:
 
 
 class TestInequalityAudit:
-    def test_empty_arrangement_holds(self):
+    """The counting chain at one partition: every field exact, both links asserted."""
+
+    def test_empty_arrangement_is_occupancy(self):
         arr = Arrangement([], [])
-        pr = partition(arr.points, 1)
-        audit = inequality_audit(arr, pr, PipelineConfig(k=3, c=1))
-        assert audit.floor_sum_total == 0
-        assert audit.status == "holds"
+        audit = inequality_audit(arr, partition(arr.points, 1), PipelineConfig(k=3, c=1))
+        assert audit == InequalityAudit(0, 0, 3, Fraction(1), 1, 0, 0, 0, 0, "occupancy")
 
     def test_single_line_closed_form(self):
-        n = 14
-        pts = [Point(x, 0) for x in range(n)]
-        arr = Arrangement(pts, [Line(0, 1, 0)])
+        """14 collinear points in one cell at k = 3: four runs of 3, and the
+        identity is tight, 3 * 4 = 14 - 2 * 1.  At c = 1, below the density
+        hypothesis, the chain stops at its first link, positive floor-sum or not."""
+        arr = Arrangement([Point(x, 0) for x in range(14)], [Line(0, 1, 0)])
         pr = partition(arr.points, 1)
         audit = inequality_audit(arr, pr, PipelineConfig(k=3, c=Fraction(1, 10)))
-        assert audit.floor_sum_total == n // 3
-        assert audit.error_term_lower <= audit.error_term_upper
-        assert audit.lhs_lower <= audit.lhs_upper
+        assert audit == InequalityAudit(14, 1, 3, Fraction(1, 10), 1, 14, 1, 4, 1, "positive")
+        assert 3 * audit.floor_sum_total == audit.n_incidences - 2 * audit.occupancy
+        audit = inequality_audit(arr, pr, PipelineConfig(k=3, c=1))
+        assert (audit.floor_sum_total, audit.status) == (4, "density")
 
     def test_grid3_reports_consistently(self):
+        """Every field at r = 2 recounted from brute-force incidences, the
+        oracle ranking and the closed-rectangle test."""
         arr = grid_construction(3)
         cfg = PipelineConfig(k=3, c=measured_density(arr))
         pr = partition(arr.points, 2)
-        audit = inequality_audit(arr, pr, cfg)
-        assert audit.status in ("holds", "fails", "indeterminate")
-        # The brackets really do bracket: a coarse float check.
-        approx_lhs = float(cfg.c) / 3 * arr.n_points ** (4 / 3)
-        assert float(audit.lhs_lower) <= approx_lhs <= float(audit.lhs_upper)
+        cell_of = {pi: ci for ci, cell in enumerate(pr.cells) for pi in cell.point_indices}
+        pairs = brute_incidences(arr)
+        occupancy = len({(cell_of[pi], li) for pi, li in pairs})
+        max_crossing = max(sum(line_crosses_rect(ln, cell.region) for cell in pr.cells)
+                           for ln in arr.lines)
+        assert Fraction(len(pairs))**3 >= cfg.c**3 * arr.n_points**4
+        status = "occupancy" if len(pairs) <= 2 * occupancy else "positive"
+        assert inequality_audit(arr, pr, cfg) == InequalityAudit(
+            arr.n_points, arr.n_lines, 3, cfg.c, 2, len(pairs), occupancy,
+            sum(floor_sum for _, floor_sum in ranked_cells(arr, pr, 3)), max_crossing, status)
+
+    def test_grid_sweep_names_every_dead_partition(self):
+        """Grids N = 5..16 x k = 3..6 at the first round's r under ``--c
+        auto``'s c: both asserted links hold, all 20 partitions with floor-sum
+        total 0 stop at "occupancy", and each "positive" one has a top cell
+        of positive floor-sum."""
+        statuses, dead = Counter(), 0
+        for n in range(5, 17):
+            arr = grid_construction(n)
+            c = measured_density(arr)
+            for k in range(3, 7):
+                cfg = PipelineConfig(k=k, c=c)
+                r = max(1, min(arr.n_points, ceil_scaled_pow23(arr.n_points, cfg.beta_k)))
+                audit = inequality_audit(arr, partition(arr.points, r), cfg)
+                statuses[audit.status] += 1
+                if audit.floor_sum_total == 0:
+                    dead += 1
+                    assert audit.status == "occupancy", (n, k)
+                if audit.status == "positive":
+                    assert pipeline._top_cell(arr, r, k)[2] > 0, (n, k)
+        assert dead == 20
+        assert statuses == {"positive": 25, "occupancy": 23}

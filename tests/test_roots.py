@@ -4,8 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from incidences.roots import (RATIONAL_SCALE, ceil_scaled_pow23, icbrt, icbrt_ceil,
-                              pow43_bounds, sqrt_bounds)
+from incidences.roots import ceil_scaled_pow23, icbrt, icbrt_ceil
 
 SMALL = range(10**4 + 1)
 LARGE = [m**3 + d for m in (10**6 + 3, 2**40 - 1, 3**50, 10**40 + 7) for d in (-1, 0, 1)]
@@ -20,16 +19,6 @@ def floor_cbrt(n: int) -> int:
         mid = (lo + hi) // 2
         lo, hi = (mid, hi) if mid**3 <= n else (lo, mid)
     return lo
-
-
-def brackets(lower: Fraction, upper: Fraction, power: int, value: int) -> bool:
-    """Whether lower^power <= value <= upper^power, with both ends multiples
-    of 1/RATIONAL_SCALE, equal when exact and one step apart otherwise."""
-    step = Fraction(1, RATIONAL_SCALE)
-    if lower**power == value:
-        return upper == lower
-    return (lower**power < value < upper**power and upper - lower == step
-            and (lower / step).denominator == 1)
 
 
 @pytest.mark.parametrize("ns", [SMALL, LARGE], ids=["0-10000", "large-cubes"])
@@ -50,27 +39,8 @@ def test_ceil_scaled_pow23_is_the_least_r_with_r_cubed_above_beta_cubed_n_square
         assert Fraction(r)**3 >= beta**3 * n**2 > Fraction(r - 1)**3, (n, beta)
 
 
-@pytest.mark.parametrize("ns", [SMALL, LARGE], ids=["0-10000", "large-cubes"])
-def test_sqrt_bounds(ns):
-    for n in ns:
-        assert brackets(*sqrt_bounds(n), 2, n), n
-
-
-@pytest.mark.parametrize("ns", [SMALL, LARGE], ids=["0-10000", "large-cubes"])
-def test_pow43_bounds(ns):
-    for n in ns:
-        assert brackets(*pow43_bounds(n), 3, n**4), n
-
-
-def test_perfect_powers_are_exact():
-    assert sqrt_bounds(49) == (7, 7)
-    assert pow43_bounds(8) == (16, 16)
-    assert pow43_bounds(27) == (81, 81)
-
-
 @pytest.mark.parametrize("root, message", [
     (icbrt, "icbrt of negative value"), (icbrt_ceil, "icbrt of negative value"),
-    (sqrt_bounds, "sqrt of negative value"), (pow43_bounds, "negative base"),
 ])
 def test_negative_arguments_raise(root, message):
     for n in (-1, -10**30):
